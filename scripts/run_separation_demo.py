@@ -20,12 +20,11 @@ def main():
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--lr", type=float, default=1.0)
     parser.add_argument("--every", type=int, default=10, help="print every k-th step")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     spec = GeneratorSpec(seed=args.seed)
     config = LossConfig()
-    trajectory = simulate_training(spec, config, args.steps, args.lr, args.threads)
+    trajectory = simulate_training(spec, config, args.steps, args.lr)
 
     print(f"{'step':>6} {'loss':>12} {'AP':>8} {'|grad|':>12} {'pairs':>7}")
     for record in trajectory.records:

@@ -85,7 +85,6 @@ class RunSettings:
     lr: float = 1.0
     epsilon: float = 1e-6
     tolerance: float = 1e-5
-    threads: int = 1
 
 
 # config file key -> RunSettings field ("lambda" is a keyword, hence the map)
@@ -213,9 +212,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = to_loss_config(settings)
     score_set = read_score_file(args.scores)
     if config.distance.is_smooth:
-        result = evaluate_with_gradient(score_set, config, settings.threads)
+        result = evaluate_with_gradient(score_set, config)
     else:
-        result = evaluate_loss(score_set, config, settings.threads)
+        result = evaluate_loss(score_set, config)
     warnings = []
     if result.no_anchors:
         warnings.append("score set has no positive anchors; loss is trivially zero")
@@ -294,7 +293,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = []
     for value in values:
         config = _sweep_config(settings, parameter, value)
-        trajectory = descend_scores(initial, config, settings.steps, settings.lr, settings.threads)
+        trajectory = descend_scores(initial, config, settings.steps, settings.lr)
         first, last = trajectory.records[0], trajectory.records[-1]
         rows.append(
             {
@@ -364,9 +363,7 @@ def _trajectory_document(trajectory: Trajectory, settings: RunSettings) -> dict:
 def cmd_simulate(args: argparse.Namespace) -> int:
     settings = resolve_settings(args)
     config = to_loss_config(settings)
-    trajectory = simulate_training(
-        to_generator_spec(settings), config, settings.steps, settings.lr, settings.threads
-    )
+    trajectory = simulate_training(to_generator_spec(settings), config, settings.steps, settings.lr)
     _emit(render_report(_trajectory_document(trajectory, settings)), args.out)
     return EXIT_OK
 
@@ -400,7 +397,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lr", type=float, help="learning rate")
     parser.add_argument("--epsilon", type=float, help="finite-difference step")
     parser.add_argument("--tolerance", type=float, help="gradcheck tolerance")
-    parser.add_argument("--threads", type=int, help="parallel anchor evaluation")
     parser.add_argument("--out", help="write the report here instead of stdout")
 
 

@@ -20,15 +20,14 @@ They are the same function in exact arithmetic; keeping both runnable is what
 makes the equivalence testable. Either gradient call reports cross-entropy loss values
 alongside the gradient.
 
+Anchors are evaluated in row blocks of at most ranking.BLOCK_DOUBLES doubles.
 Per-anchor pair sums go through math.fsum, so they are exactly rounded and
-independent of pair order; anchor contributions then combine in ascending
-anchor order. Threaded evaluation farms anchors to a thread pool but reduces
-in the same order, so results are bit-identical to the sequential path.
+independent of pair order; negative-side gradients add up in anchor order,
+so results are bitwise independent of the block size.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum
 
@@ -43,6 +42,7 @@ from .distance import (
 from .ranking import (
     RankStats,
     compute_ranks,
+    row_blocks,
     select_top_q_negatives,
     valid_negative_count,
 )
@@ -82,26 +82,13 @@ class LossResult:
         return sum(s.active_pairs for s in self.stats)
 
 
-@dataclass(frozen=True)
-class _AnchorOut:
-    u: int
-    loss: float
-    stats: RankStats
-    grad_u: float
-    pair_indices: np.ndarray | None
-    grad_pairs: np.ndarray | None
+def _row_fsums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a flat row-major block whose rows hold counts[i] values."""
+    rows = np.split(values, np.cumsum(counts)[:-1])
+    return np.array([fsum(row.tolist()) for row in rows])
 
 
-def _check_threads(threads: int) -> int:
-    if isinstance(threads, bool) or not isinstance(threads, int):
-        raise ValidationError(f"threads must be a positive integer, got {threads!r}")
-    if threads < 1:
-        raise ValidationError(f"threads must be >= 1, got {threads}")
-    return threads
-
-
-def _evaluate(score_set: ScoreSet, config: LossConfig, form: str, threads: int) -> LossResult:
-    threads = _check_threads(threads)
+def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
     if not isinstance(score_set, ScoreSet):
         raise ValidationError("score_set must be a ScoreSet")
     if not isinstance(config, LossConfig):
@@ -124,90 +111,83 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: str, threads: int) 
         grad = np.zeros(n) if want_grad else None
         return LossResult(0.0, {}, grad, [], truncated, no_anchors=True)
 
-    mode = config.pair_filter.mode
     threshold = config.pair_filter.threshold
-    restrict = mode is FilterMode.VALID_NEG_COUNT and config.pair_filter.filter_numerator
+    restrict = config.pair_filter.mode is FilterMode.VALID_NEG_COUNT and config.pair_filter.filter_numerator
     lam = config.distance.lam
 
-    def one_anchor(u: int) -> _AnchorOut:
-        s_u = scores[u]
-        n_neg = valid_negative_count(score_set, u, threshold)
-        if mode is FilterMode.RANK_SUM:
-            rank_plus, rank_minus = compute_ranks(score_set, u, config.rank_delta)
-            bc = rank_plus + rank_minus
-        else:
-            rank_plus, rank_minus = 1.0, float(n_neg)
-            bc = float(n_neg) if n_neg > 0 else None
-        if bc is None:
-            stats = RankStats(int(u), rank_plus, rank_minus, None, n_neg, 0)
-            return _AnchorOut(int(u), 0.0, stats, 0.0, None, None)
-        diffs = sel_scores - s_u
-        keep = None
+    n_neg = valid_negative_count(score_set, pos, threshold)
+    if config.pair_filter.mode is FilterMode.RANK_SUM:
+        rank_plus, rank_minus = compute_ranks(score_set, pos, config.rank_delta)
+        bc = rank_plus + rank_minus
+    else:
+        rank_plus, rank_minus = np.ones(pos.size), n_neg.astype(np.float64)
+        bc = rank_minus
+    # ranksum constants are >= 1; a zero negcount constant skips its anchor
+    live = np.flatnonzero(bc > 0)
+
+    loss = np.zeros(pos.size)
+    active = np.zeros(pos.size, dtype=np.int64)
+    grad = np.zeros(n) if want_grad else None
+    for rows in row_blocks(live.size, sel.size):
+        at = live[rows]
+        diffs = sel_scores - scores[pos[at], None]
         if restrict:
             keep = diffs > threshold
-            diffs = diffs[keep]
-        active = int(diffs.size)
-        stats = RankStats(int(u), rank_plus, rank_minus, bc, n_neg, active)
-        if not want_grad:
-            loss = fsum(distance_value(diffs, config.distance).tolist()) / bc
-            return _AnchorOut(int(u), loss, stats, 0.0, None, None)
-        loss = fsum(ce_distance(diffs, lam).tolist()) / bc
-        if form == GradientForm.ERROR_DRIVEN.value:
-            masses = sigmoid_distance(diffs, lam)
-            grad_u = -fsum(masses.tolist()) / bc
-            grad_pairs = masses / bc
+            counts = np.count_nonzero(keep, axis=1)
+            pair_diffs, pair_negs = diffs[keep], np.broadcast_to(sel, diffs.shape)[keep]
         else:
-            slopes = ce_distance_grad_wrt_u(diffs, lam)
-            grad_u = fsum(slopes.tolist()) / bc
-            grad_pairs = -slopes / bc
-        pair_indices = sel[keep] if keep is not None else sel
-        return _AnchorOut(int(u), loss, stats, grad_u, pair_indices, grad_pairs)
+            counts = np.full(at.size, sel.size)
+            pair_diffs, pair_negs = diffs.ravel(), np.tile(sel, at.size)
+        active[at] = counts
+        b = bc[at]
+        if not want_grad:
+            loss[at] = _row_fsums(distance_value(pair_diffs, config.distance), counts) / b
+            continue
+        loss[at] = _row_fsums(ce_distance(pair_diffs, lam), counts) / b
+        # anchors add onto 0.0, so an anchor without pair mass reads +0.0, never -0.0;
+        # np.add.at adds pairs one by one in row order, so each negative sums in anchor order
+        if form == GradientForm.ERROR_DRIVEN.value:
+            masses = sigmoid_distance(pair_diffs, lam)
+            grad[pos[at]] += -_row_fsums(masses, counts) / b
+            np.add.at(grad, pair_negs, masses / np.repeat(b, counts))
+        else:
+            slopes = ce_distance_grad_wrt_u(pair_diffs, lam)
+            grad[pos[at]] += _row_fsums(slopes, counts) / b
+            np.add.at(grad, pair_negs, -slopes / np.repeat(b, counts))
 
-    anchors = [int(u) for u in pos]
-    if threads == 1 or len(anchors) < 2:
-        outs = [one_anchor(u) for u in anchors]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outs = list(pool.map(one_anchor, anchors))
-
-    per_anchor = {out.u: out.loss for out in outs}
-    total = fsum(out.loss for out in outs)
     n_pos = pos.size
+    total = fsum(loss.tolist())
     if config.reduction is Reduction.MEAN_OVER_POSITIVES:
         total /= n_pos
-
-    grad = None
-    if want_grad:
-        grad = np.zeros(n)
-        for out in outs:
-            if out.pair_indices is None:
-                continue
-            grad[out.u] += out.grad_u
-            grad[out.pair_indices] += out.grad_pairs
-        if config.reduction is Reduction.MEAN_OVER_POSITIVES:
+        if want_grad:
             grad /= n_pos
 
-    stats = [out.stats for out in outs]
-    return LossResult(float(total), per_anchor, grad, stats, truncated)
+    anchors = pos.tolist()
+    bc_or_none = [b if b > 0 else None for b in bc.tolist()]
+    stats = [
+        RankStats(*row)
+        for row in zip(anchors, rank_plus.tolist(), rank_minus.tolist(), bc_or_none, n_neg.tolist(), active.tolist())
+    ]
+    return LossResult(float(total), dict(zip(anchors, loss.tolist())), grad, stats, truncated)
 
 
-def evaluate_loss(score_set: ScoreSet, config: LossConfig, threads: int = 1) -> LossResult:
+def evaluate_loss(score_set: ScoreSet, config: LossConfig) -> LossResult:
     """Forward evaluation under the configured distance; gradient is None."""
-    return _evaluate(score_set, config, _FORWARD, threads)
+    return _evaluate(score_set, config, _FORWARD)
 
 
-def gradient_error_driven(score_set: ScoreSet, config: LossConfig, threads: int = 1) -> LossResult:
+def gradient_error_driven(score_set: ScoreSet, config: LossConfig) -> LossResult:
     """Loss plus gradient via accumulated sigmoid error masses."""
-    return _evaluate(score_set, config, GradientForm.ERROR_DRIVEN.value, threads)
+    return _evaluate(score_set, config, GradientForm.ERROR_DRIVEN.value)
 
 
-def gradient_autodiff_ce(score_set: ScoreSet, config: LossConfig, threads: int = 1) -> LossResult:
+def gradient_autodiff_ce(score_set: ScoreSet, config: LossConfig) -> LossResult:
     """Loss plus gradient via the cross-entropy chain rule."""
-    return _evaluate(score_set, config, GradientForm.AUTODIFF_CE.value, threads)
+    return _evaluate(score_set, config, GradientForm.AUTODIFF_CE.value)
 
 
-def evaluate_with_gradient(score_set: ScoreSet, config: LossConfig, threads: int = 1) -> LossResult:
+def evaluate_with_gradient(score_set: ScoreSet, config: LossConfig) -> LossResult:
     """Dispatch to the gradient form named in the config."""
     if config.gradient_form is GradientForm.AUTODIFF_CE:
-        return gradient_autodiff_ce(score_set, config, threads)
-    return gradient_error_driven(score_set, config, threads)
+        return gradient_autodiff_ce(score_set, config)
+    return gradient_error_driven(score_set, config)

@@ -35,33 +35,55 @@ class RankStats:
     active_pairs: int
 
 
-def _check_anchor(score_set: ScoreSet, u: int) -> int:
-    u = int(u)
-    if not 0 <= u < len(score_set):
-        raise ValidationError(f"anchor index {u} out of range for set of {len(score_set)}")
-    if score_set.labels[u] != Label.POSITIVE:
-        raise ValidationError(f"anchor index {u} is not labelled positive")
-    return u
+BLOCK_DOUBLES = 1 << 16  # most doubles one block of anchor rows holds, so memory stays bounded
 
 
-def compute_ranks(score_set: ScoreSet, u: int, rank_delta: float = 0.5) -> tuple[float, float]:
+def row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Slices covering range(n_rows), each of at most BLOCK_DOUBLES // width rows (at least one)."""
+    step = max(1, BLOCK_DOUBLES // max(width, 1))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def _check_anchors(score_set: ScoreSet, u) -> tuple[np.ndarray, bool]:
+    """Anchor indices as a 1-D array, and whether u was a single index."""
+    scalar = np.ndim(u) == 0
+    anchors = np.atleast_1d(int(u) if scalar else np.asarray(u))
+    if anchors.ndim != 1 or anchors.dtype.kind not in "iu":
+        raise ValidationError("anchors must be an index or a 1-D integer index array")
+    outside = (anchors < 0) | (anchors >= len(score_set))
+    if outside.any():
+        raise ValidationError(f"anchor index {anchors[outside][0]} out of range for set of {len(score_set)}")
+    unlabelled = score_set.labels[anchors] != Label.POSITIVE
+    if unlabelled.any():
+        raise ValidationError(f"anchor index {anchors[unlabelled][0]} is not labelled positive")
+    return anchors, scalar
+
+
+def compute_ranks(score_set: ScoreSet, u, rank_delta: float = 0.5):
     """Smoothed (rank+, rank-) of positive anchor u.
 
     rank+ = 1 + sum over other positives of H(score[p] - score[u]);
     rank- = sum over all negatives of H(score[n] - score[u]).
     The leading 1 is the anchor's own contribution, so rank+ >= 1 always.
+    An int u gives two floats; an index array gives two arrays, one entry per anchor.
     """
-    u = _check_anchor(score_set, u)
+    anchors, scalar = _check_anchors(score_set, u)
     if not (math.isfinite(rank_delta) and rank_delta > 0):
         raise ValidationError(f"rank_delta must be > 0, got {rank_delta!r}")
     scores = score_set.scores
-    s_u = scores[u]
     pos = score_set.positive_indices
-    pos = pos[pos != u]
-    rank_plus = 1.0 + float(np.sum(step_distance(scores[pos] - s_u, rank_delta))) if pos.size else 1.0
-    neg = score_set.negative_indices
-    rank_minus = float(np.sum(step_distance(scores[neg] - s_u, rank_delta))) if neg.size else 0.0
-    return rank_plus, rank_minus
+    neg_scores = scores[score_set.negative_indices]
+    # an anchor's own slot is dropped from its positive row, not zeroed, so each row is
+    # the array a one-anchor call sums, and np.sum reduces it the same way
+    others = np.arange(pos.size - 1)
+    own = np.searchsorted(pos, anchors)[:, None]
+    ranks = np.empty((2, anchors.size))
+    for rows in row_blocks(anchors.size, pos.size + neg_scores.size):
+        s_u = scores[anchors[rows], None]
+        other_pos = pos[others + (others >= own[rows])]
+        ranks[0, rows] = 1.0 + np.sum(step_distance(scores[other_pos] - s_u, rank_delta), axis=1)
+        ranks[1, rows] = np.sum(step_distance(neg_scores - s_u, rank_delta), axis=1)
+    return tuple(ranks[:, 0].tolist()) if scalar else tuple(ranks)
 
 
 def valid_pair_indicator(p_u: float, p_v: float, threshold: float = 0.25) -> int:
@@ -74,16 +96,20 @@ def valid_pair_indicator(p_u: float, p_v: float, threshold: float = 0.25) -> int
     return int(p_v - p_u > threshold)
 
 
-def valid_negative_count(score_set: ScoreSet, u: int, threshold: float = 0.25) -> int:
-    """Number of negatives forming a valid error pair with anchor u."""
-    u = _check_anchor(score_set, u)
+def valid_negative_count(score_set: ScoreSet, u, threshold: float = 0.25):
+    """Number of negatives forming a valid error pair with anchor u.
+
+    An int u gives an int; an index array gives an int64 array, one count per anchor.
+    """
+    anchors, scalar = _check_anchors(score_set, u)
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValidationError(f"threshold must be >= 0, got {threshold!r}")
-    neg = score_set.negative_indices
-    if neg.size == 0:
-        return 0
-    diffs = score_set.scores[neg] - score_set.scores[u]
-    return int(np.count_nonzero(diffs > threshold))
+    scores = score_set.scores
+    neg_scores = scores[score_set.negative_indices]
+    counts = np.empty(anchors.size, dtype=np.int64)
+    for rows in row_blocks(anchors.size, neg_scores.size):
+        counts[rows] = np.count_nonzero(neg_scores - scores[anchors[rows], None] > threshold, axis=1)
+    return int(counts[0]) if scalar else counts
 
 
 def select_top_q_negatives(score_set: ScoreSet, budget: PairBudget) -> np.ndarray:
@@ -111,7 +137,6 @@ def balance_constant(score_set: ScoreSet, u: int, config: LossConfig) -> float |
     ranksum mode always yields a value >= 1 (the self term); negcount mode
     yields None when no negative clears the threshold.
     """
-    u = _check_anchor(score_set, u)
     if config.pair_filter.mode is FilterMode.RANK_SUM:
         rank_plus, rank_minus = compute_ranks(score_set, u, config.rank_delta)
         return rank_plus + rank_minus

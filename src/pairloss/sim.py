@@ -155,7 +155,6 @@ def simulate_training(
     config: LossConfig,
     steps: int,
     learning_rate: float,
-    threads: int = 1,
 ) -> Trajectory:
     """Run `steps` gradient-descent updates on a freshly generated score set.
 
@@ -165,7 +164,7 @@ def simulate_training(
     """
     if spec.n_pos < 1:
         raise ValidationError("simulation needs at least one positive")
-    return descend_scores(generate_scores(spec), config, steps, learning_rate, threads)
+    return descend_scores(generate_scores(spec), config, steps, learning_rate)
 
 
 def descend_scores(
@@ -173,7 +172,6 @@ def descend_scores(
     config: LossConfig,
     steps: int,
     learning_rate: float,
-    threads: int = 1,
 ) -> Trajectory:
     """Gradient descent on an existing score set; see simulate_training."""
     if isinstance(steps, bool) or not isinstance(steps, int):
@@ -189,7 +187,7 @@ def descend_scores(
     current = score_set
     records: list[TrajectoryRecord] = []
     for step in range(steps + 1):
-        result: LossResult = evaluate_with_gradient(current, config, threads)
+        result: LossResult = evaluate_with_gradient(current, config)
         if not math.isfinite(result.total_loss):
             raise DivergenceError(f"total loss became non-finite at step {step}")
         records.append(
@@ -203,9 +201,10 @@ def descend_scores(
         )
         if step == steps:
             break
-        updated = current.scores - learning_rate * result.gradient
-        try:
-            current = current.with_scores(updated)
-        except ValidationError as exc:
-            raise DivergenceError(f"scores became non-finite at step {step + 1}") from exc
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below as a DivergenceError
+            updated = current.scores - learning_rate * result.gradient
+        bad = np.flatnonzero(~np.isfinite(updated))
+        if bad.size:
+            raise DivergenceError(f"scores became non-finite at step {step + 1}: index {bad[0]} is {updated[bad[0]]}")
+        current = current.with_scores(updated)
     return Trajectory(records=tuple(records), final=current)

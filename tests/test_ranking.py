@@ -54,6 +54,14 @@ class TestComputeRanks:
             compute_ranks(ss, 1, 0.5)
         with pytest.raises(ValidationError):
             compute_ranks(ss, 5, 0.5)
+        with pytest.raises(ValidationError):
+            compute_ranks(ss, np.array([0, 5]), 0.5)
+        with pytest.raises(ValidationError):
+            compute_ranks(ss, np.array([0, 1]), 0.5)
+        with pytest.raises(ValidationError):
+            valid_negative_count(ss, np.array([0, 5]), 0.25)
+        with pytest.raises(ValidationError):
+            valid_negative_count(ss, np.array([0, 1]), 0.25)
 
     def test_rejects_bad_rank_delta(self):
         ss = make_set([0.6], [1])
@@ -232,23 +240,30 @@ class TestNaiveReference:
         rng = np.random.default_rng(12)
         for _ in range(40):
             ss = random_score_set(rng, int(rng.integers(2, 50)))
-            for u in ss.positive_indices:
+            plus, minus = compute_ranks(ss, ss.positive_indices, 0.5)
+            for i, u in enumerate(ss.positive_indices):
                 fast = compute_ranks(ss, int(u), 0.5)
                 slow = _naive_ranks(ss, int(u), 0.5)
                 assert fast[0] == pytest.approx(slow[0], rel=1e-12, abs=1e-12)
                 assert fast[1] == pytest.approx(slow[1], rel=1e-12, abs=1e-12)
+                assert (plus[i].tobytes(), minus[i].tobytes()) == (
+                    np.float64(fast[0]).tobytes(),
+                    np.float64(fast[1]).tobytes(),
+                )
 
     def test_counts_match_double_loop(self):
         rng = np.random.default_rng(13)
         for _ in range(40):
             ss = random_score_set(rng, int(rng.integers(2, 50)))
-            for u in ss.positive_indices:
+            counts = valid_negative_count(ss, ss.positive_indices, 0.25)
+            for i, u in enumerate(ss.positive_indices):
                 naive = sum(
                     1
                     for j in range(len(ss))
                     if ss.labels[j] == 0 and float(ss.scores[j] - ss.scores[u]) > 0.25
                 )
                 assert valid_negative_count(ss, int(u), 0.25) == naive
+                assert counts[i] == naive
 
     def test_topq_matches_sorted_reference(self):
         rng = np.random.default_rng(14)

@@ -5,6 +5,7 @@ import pytest
 
 from pairloss import (
     DivergenceError,
+    FilterSpec,
     GeneratorSpec,
     LossConfig,
     UndefinedMetricError,
@@ -177,6 +178,17 @@ class TestSimulateTraining:
         blown = make_set([-8e307, 8e307], [1, 0])
         with pytest.raises(DivergenceError):
             descend_scores(blown, CE8, 1, 0.1)
+
+    def test_divergence_names_step_index_and_value(self):
+        # sum reduction: three anchors each push the lone negative (index 2) by about 1,
+        # so a 1e308 step overflows it to -inf while the positives stay finite
+        ss = make_set([0.0, 0.1, 2.0, 0.2], [1, 1, 0, 1])
+        config = LossConfig(pair_filter=FilterSpec(mode="negcount"), reduction="sum")
+        with pytest.raises(DivergenceError) as info:
+            descend_scores(ss, config, 3, 1e308)
+        message = str(info.value)
+        assert "step 1" in message
+        assert "index 2 is -inf" in message
 
     def test_validation(self):
         spec = GeneratorSpec(seed=1, n_pos=2, n_neg=4)
