@@ -21,9 +21,11 @@ makes the equivalence testable. Either gradient call reports cross-entropy loss 
 alongside the gradient.
 
 Anchors are evaluated in row blocks of at most ranking.BLOCK_DOUBLES doubles.
-Per-anchor pair sums go through math.fsum, so they are exactly rounded and
-independent of pair order; negative-side gradients add up in anchor order,
-so results are bitwise independent of the block size.
+Per-anchor pair sums are exactly rounded, equal to math.fsum bit for bit and
+independent of pair order: a compensated TwoSum tree sums a whole block and
+certifies each row's rounding, and the rows it cannot certify (exact
+rounding midpoints, overflow) go through math.fsum. Negative-side gradients
+add up in anchor order, so results are bitwise independent of the block size.
 """
 
 from __future__ import annotations
@@ -82,10 +84,94 @@ class LossResult:
         return sum(s.active_pairs for s in self.stats)
 
 
-def _row_fsums(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a flat row-major block whose rows hold counts[i] values."""
-    rows = np.split(values, np.cumsum(counts)[:-1])
-    return np.array([fsum(row.tolist()) for row in rows])
+def _tree_sums(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of each column of a 2-D block, and a mask of the columns whose sum is proven exactly rounded.
+
+    Every column holds values of one sign (all >= 0 or all <= 0); the block
+    is scratch and is overwritten. A pairwise tree adds the top half of the
+    live rows onto the bottom half, level by level, in double-double: hi
+    parts through the error-free TwoSum, lo parts (the TwoSum errors) in
+    plain doubles. Columns run along the fast axis, so each level is a few
+    contiguous whole-array operations.
+
+    Certificate. Let u = 2^-53, d the number of levels and S the exact
+    column sum. A TwoSum error is at most u times its rounded sum; the sums
+    of one level cover disjoint parts of a one-sign column, so they add to
+    at most (1 + u)^d |S| and the errors of all levels to at most
+    d u (1 + u)^d |S|. Each error reaches the root lo through at most 3d
+    plain additions (three per level), so lo is off by at most gamma_3d
+    times that, 3 d^2 u^2 |S| (1 + 2^-40) for d <= 64. One more TwoSum
+    gives hi + lo = r + t exactly, so |S - r| <= |t| + that, and
+    |S| <= (1 + 2u) |r|. The bound 4 d^2 u^2 |r| covers it, with room for
+    the rounding of its own product (below the normal range the true error
+    is a multiple of 2^-1074, which round-to-nearest cannot undercut). When
+    2 (|t| + bound) < |r| - nextafter(|r|, 0), the smaller spacing next to
+    r, S lies strictly inside r's rounding interval; rounding is monotone,
+    so the comparison is safe in floating point. A one-sign column sums to
+    0 only when all of it is zero, which is exact. What fails are exact
+    rounding midpoints, sums within the bound of one, and non-finite r.
+    Zero sums come back as +0.0, as math.fsum returns them: x - x is +0.0
+    under round-to-nearest, so a zero sum's a-side TwoSum error, its lo
+    and hi + lo are all +0.0.
+    """
+    width, n = cols.shape
+    if width <= 1:
+        return (cols[0] + 0.0 if width else np.zeros(n)), np.ones(n, dtype=bool)
+    cur, nxt, lo = cols, np.empty_like(cols), np.empty(((width + 1) // 2, n))
+    depth = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing column reads non-finite and fails
+        while width > 1:
+            h = width // 2
+            a, b, s, bp, low = cur[:h], cur[h : 2 * h], nxt[:h], nxt[h : 2 * h], lo[:h]
+            np.add(a, b, out=s)
+            np.subtract(s, a, out=bp)
+            np.subtract(b, bp, out=b)  # b's rounding error
+            np.subtract(s, bp, out=bp)
+            np.subtract(a, bp, out=a)  # a's rounding error
+            if depth:
+                low += lo[h : 2 * h]
+                low += a
+                low += b
+            else:
+                np.add(a, b, out=low)
+            if width % 2:
+                nxt[h] = cur[2 * h]
+                lo[h] = lo[2 * h] if depth else 0.0
+            cur, nxt = nxt, cur
+            width = h + width % 2
+            depth += 1
+        hi, low = cur[0], lo[0]
+        r = hi + low
+        bp = r - hi
+        t = (hi - (r - bp)) + (low - bp)
+        size = np.abs(r)
+        bound = 4 * depth * depth * 2.0**-106 * size
+        certified = (2.0 * (np.abs(t) + bound) < size - np.nextafter(size, 0.0)) | (r == 0.0)
+    return r, certified
+
+
+def _row_sums(values: np.ndarray, counts: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a flat row-major block whose rows hold counts[i] values, bit for bit.
+
+    Every row holds values of one sign. Rows the tree sum cannot certify go
+    through math.fsum; a row whose sum overflows raises ValidationError
+    naming its anchor.
+    """
+    width = int(counts.max(initial=0))
+    if values.size == counts.size * width:
+        cols = values.reshape(counts.size, width).T.copy()
+    else:
+        # ragged rows are padded with +0.0, which changes neither fsum nor the tree's sum
+        cols = np.zeros((width, counts.size))
+        cols.T[np.arange(width) < counts[:, None]] = values
+    sums, certified = _tree_sums(cols)
+    for i in np.flatnonzero(~certified):
+        start = counts[:i].sum()
+        try:
+            sums[i] = fsum(values[start : start + counts[i]].tolist())
+        except OverflowError:
+            raise ValidationError(f"pair sum of anchor {anchors[i]} overflows") from None
+    return sums
 
 
 def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
@@ -130,7 +216,8 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
     grad = np.zeros(n) if want_grad else None
     for rows in row_blocks(live.size, sel.size):
         at = live[rows]
-        diffs = sel_scores - scores[pos[at], None]
+        anchors = pos[at]
+        diffs = sel_scores - scores[anchors, None]
         if restrict:
             keep = diffs > threshold
             counts = np.count_nonzero(keep, axis=1)
@@ -141,22 +228,25 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
         active[at] = counts
         b = bc[at]
         if not want_grad:
-            loss[at] = _row_fsums(distance_value(pair_diffs, config.distance), counts) / b
+            loss[at] = _row_sums(distance_value(pair_diffs, config.distance), counts, anchors) / b
             continue
-        loss[at] = _row_fsums(ce_distance(pair_diffs, lam), counts) / b
+        loss[at] = _row_sums(ce_distance(pair_diffs, lam), counts, anchors) / b
         # anchors add onto 0.0, so an anchor without pair mass reads +0.0, never -0.0;
         # np.add.at adds pairs one by one in row order, so each negative sums in anchor order
         if form == GradientForm.ERROR_DRIVEN.value:
             masses = sigmoid_distance(pair_diffs, lam)
-            grad[pos[at]] += -_row_fsums(masses, counts) / b
+            grad[anchors] += -_row_sums(masses, counts, anchors) / b
             np.add.at(grad, pair_negs, masses / np.repeat(b, counts))
         else:
             slopes = ce_distance_grad_wrt_u(pair_diffs, lam)
-            grad[pos[at]] += _row_fsums(slopes, counts) / b
+            grad[anchors] += _row_sums(slopes, counts, anchors) / b
             np.add.at(grad, pair_negs, -slopes / np.repeat(b, counts))
 
     n_pos = pos.size
-    total = fsum(loss.tolist())
+    try:
+        total = fsum(loss.tolist())
+    except OverflowError:
+        raise ValidationError("total loss overflows") from None
     if config.reduction is Reduction.MEAN_OVER_POSITIVES:
         total /= n_pos
         if want_grad:

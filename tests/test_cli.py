@@ -101,6 +101,14 @@ class TestEval:
         assert main(["eval", str(path)]) == 3
         assert "validation error" in capsys.readouterr().err
 
+    def test_overflowing_pair_sum_is_validation_error(self, capsys, tmp_path):
+        # a finite, valid file whose 100 pair errors of 2e306 sum past the largest double
+        path = score_file(tmp_path, [1e306] * 100 + [-1e306], [0] * 100 + [1])
+        assert main(["eval", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: pair sum of anchor 100 overflows")
+        assert "Traceback" not in err
+
 
 class TestGradcheck:
     def test_passes_on_smooth_config(self, capsys, mixed_file):

@@ -1,9 +1,13 @@
 """Forward loss and gradient tests: spot values, invariants, both gradient forms."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairloss import (
     DistanceKind,
@@ -26,6 +30,7 @@ from pairloss import (
     gradient_error_driven,
 )
 from pairloss import ranking
+from pairloss.loss import _row_sums, _tree_sums
 
 from conftest import make_set, random_score_set
 
@@ -329,6 +334,100 @@ class TestBlocking:
             assert (s.rank_plus, s.rank_minus) == ranking.compute_ranks(ss, s.anchor_index)
             pair_sum = math.fsum(ce_distance(neg_scores - ss.scores[s.anchor_index], 8.0).tolist())
             assert dense.per_anchor_loss[s.anchor_index] == pair_sum / s.balance_constant
+
+
+# magnitudes for same-sign rows: plain and subnormal doubles, values near 1e300, zeros, and
+# dyadic values whose exact sums are often representable or exact rounding midpoints
+_MAGNITUDES = st.one_of(
+    st.floats(0.0, 1e300),
+    st.floats(0.0, 1e-300),
+    st.floats(1e299, 1e300),
+    st.just(0.0),
+    st.builds(math.ldexp, st.integers(1, 7), st.integers(-60, 0)),
+)
+
+
+def _fsum_rows(rows):
+    return np.array([math.fsum(row) for row in rows])
+
+
+def _strict_row_sums(rows):
+    """_row_sums of ragged rows, with every numpy warning raised as an error."""
+    counts = np.array([len(row) for row in rows], dtype=np.int64)
+    values = np.array([x for row in rows for x in row], dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _row_sums(values, counts, np.arange(len(rows)))
+
+
+class TestRowSums:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_bitwise_equal_to_fsum(self, data):
+        width = data.draw(st.integers(0, 33), label="width")
+        ragged = data.draw(st.booleans(), label="ragged")
+        rows = []
+        for _ in range(data.draw(st.integers(1, 6), label="rows")):
+            size = data.draw(st.integers(0, width)) if ragged else width
+            sign = data.draw(st.sampled_from([1.0, -1.0]))
+            rows.append([sign * m for m in data.draw(st.lists(_MAGNITUDES, min_size=size, max_size=size))])
+        assert _strict_row_sums(rows).tobytes() == _fsum_rows(rows).tobytes()
+
+    def test_edge_rows(self):
+        edge_rows = [
+            [],
+            [-0.0],
+            [-0.0] * 7,
+            [0.0, -0.0, 0.0],
+            [5e-324] * 9,
+            [-5e-324, -1e-310, -2.5e-320],
+            [1e300] * 5,
+            [-1e300, -3e299, -7e298],
+            [1.0, 2.0**-53],
+            [1.0, 2.0**-54, 2.0**-54],
+        ]
+        for rows in (edge_rows, [[-0.0] * 4] * 3, [[-0.0]] * 3, [[]] * 2):
+            assert _strict_row_sums(rows).tobytes() == _fsum_rows(rows).tobytes()
+
+    def test_exact_midpoints_take_the_fallback(self):
+        # each exact sum lies halfway between two doubles, so only math.fsum can round it
+        for row in ([1.0, 2.0**-53], [1.0, 2.0**-54, 2.0**-54], [-1.0, -(2.0**-53)], [3.0, 2.0**-52]):
+            sums, certified = _tree_sums(np.array([row]).T.copy())
+            assert not certified[0]
+            assert _strict_row_sums([row])[0] == math.fsum(row)
+        sums, certified = _tree_sums(np.array([[1.0, 2.0**-60, 0.5], [-0.0, -0.0, -0.0]]).T.copy())
+        assert certified.all()
+        assert sums.tobytes() == np.array([math.fsum([1.0, 2.0**-60, 0.5]), 0.0]).tobytes()
+
+
+class TestOverflow:
+    def test_overflowing_pair_sum_names_the_anchor(self):
+        # 100 pairs of CE value 2e306 sum past the largest double
+        ss = make_set([1e306] * 100 + [-1e306], [0] * 100 + [1])
+        for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce):
+            with pytest.raises(ValidationError, match=r"anchor 100 overflows"):
+                fn(ss, CE8)
+
+    def test_overflowing_total_loss(self):
+        # every per-anchor loss is finite (2.46e307), but the sum of the ten is not
+        ss = make_set([-8e307] * 10 + [8e307], [1] * 10 + [0])
+        with pytest.raises(ValidationError, match="total loss overflows"):
+            evaluate_loss(ss, LossConfig(distance=DistanceSpec(kind=DistanceKind.CE_SIGMOID, lam=1.0)))
+
+
+class TestMemory:
+    def test_peak_memory_is_bounded_by_the_block(self):
+        ss = generate_scores(GeneratorSpec(seed=35, n_pos=300, n_neg=20000))
+        config = LossConfig(budget=PairBudget(None))
+        tracemalloc.start()
+        try:
+            result = gradient_error_driven(ss, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.active_pairs == 300 * 20000
+        # a few block-sized temporaries plus O(n) per-set arrays; the full matrix would be 48 MB
+        assert peak < 10 * ranking.BLOCK_DOUBLES * 8 + 16 * len(ss) * 8
 
 
 class TestArgumentErrors:
