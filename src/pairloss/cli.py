@@ -1,9 +1,9 @@
 """Command-line surface: eval, gradcheck, sweep, curve, simulate.
 
-Configuration is layered: built-in defaults, then an optional JSON config
-file (--config, or the path in the PAIRLOSS_CONFIG environment variable),
-then explicit flags. Reports go to stdout (or --out) as JSON with floats
-rounded to 15 significant digits; curve output is two-column numeric text.
+One SETTINGS row per setting: flag --<key>, config key <key>. Flags override
+a JSON config file (--config, or $PAIRLOSS_CONFIG); a setting neither names
+takes the library's default. Reports go to stdout (or --out) as JSON with
+floats rounded to 15 significant digits; curve output is two-column text.
 
 Exit codes: 0 success, 1 check failed (gradcheck mismatch or diverged
 simulation), 2 parse error (bad file syntax), 3 validation error (legal
@@ -17,7 +17,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from enum import Enum
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .distance import distance_value
 from .loss import LossResult, evaluate_loss, evaluate_with_gradient
 from .oracle import gradient_check
 from .scorefile import ScoreFileError, format_float, read_score_file, render_report
-from .sim import GeneratorSpec, Trajectory, descend_scores, generate_scores, simulate_training
+from .sim import GeneratorSpec, descend_scores, generate_scores, simulate_training
 from .types import (
     DistanceKind,
     DistanceSpec,
@@ -36,7 +38,6 @@ from .types import (
     LossConfig,
     PairBudget,
     Reduction,
-    ScoreSet,
     ValidationError,
 )
 
@@ -49,6 +50,9 @@ EXIT_VALIDATION_ERROR = 3
 
 SWEEP_PARAMETERS = ("lambda", "delta", "T", "Q")
 
+# the gradient paths report the cross-entropy loss, whatever distance is configured
+GRADIENT_LOSS = DistanceKind.CE_SIGMOID.value
+
 CURVE_FUNCTIONS = {
     "h": "step",
     "step": "step",
@@ -59,40 +63,18 @@ CURVE_FUNCTIONS = {
 }
 
 
-@dataclass
-class RunSettings:
-    """Flattened knobs for one CLI run; every field has a working default."""
+@dataclass(frozen=True)
+class Kind:
+    """How a setting is spelled: keywords for its argparse flag, and the JSON values its config key takes."""
 
-    distance: str = "ce-sigmoid"
-    lam: float = 8.0
-    delta: float = 0.5
-    rank_delta: float | None = None
-    threshold: float = 0.25
-    filter_numerator: bool = True
-    q: int | None = 100_000
-    mode: str = "ranksum"
-    grad_form: str = "error-driven"
-    reduction: str = "mean"
-    seed: int = 0
-    n_pos: int = 50
-    n_neg: int = 500
-    pos_mean: float = 0.6
-    pos_std: float = 0.1
-    neg_mean: float = 0.4
-    neg_std: float = 0.1
-    clamp: tuple[float, float] | None = None
-    steps: int = 200
-    lr: float = 1.0
-    epsilon: float = 1e-6
-    tolerance: float = 1e-5
-
-
-# config file key -> RunSettings field ("lambda" is a keyword, hence the map)
-_FILE_KEYS = {f.name: f.name for f in fields(RunSettings) if f.name != "lam"}
-_FILE_KEYS["lambda"] = "lam"
+    flag: dict
+    json: str
+    accepts: Callable[[object], bool]
+    load: Callable[[object], object] = lambda value: value
 
 
 def _parse_q(text: str):
+    """The --q flag and sweep values: an integer, or 'unlimited'."""
     if text.strip().lower() in {"unlimited", "none"}:
         return None
     try:
@@ -101,14 +83,74 @@ def _parse_q(text: str):
         raise argparse.ArgumentTypeError(f"q must be an integer or 'unlimited', got {text!r}") from None
 
 
-def _parse_q_flag(text: str):
-    # the flag layer needs "unlimited" kept distinct from "flag absent"
-    value = _parse_q(text)
-    return "unlimited" if value is None else value
+def _choice(enum: type[Enum]) -> Kind:
+    values = [member.value for member in enum]
+    return Kind({"choices": values}, f"one of {values}", lambda value: value in values)
+
+
+# JSON values are exactly int, float, str, bool, None, list or dict, so `type(v) is int` excludes true and false
+NUMBER = Kind({"type": float}, "a number", lambda value: type(value) in (int, float))
+NUMBER_OR_NULL = Kind({"type": float}, "a number or null", lambda value: value is None or NUMBER.accepts(value))
+INTEGER = Kind({"type": int}, "an integer", lambda value: type(value) is int)
+SWITCH = Kind({"action": argparse.BooleanOptionalAction}, "true or false", lambda value: type(value) is bool)
+BUDGET = Kind(
+    {"type": _parse_q},
+    'an integer, null or "unlimited"',
+    lambda value: value in (None, "unlimited") or type(value) is int,
+    lambda value: None if value == "unlimited" else value,
+)
+RANGE = Kind(
+    {"type": float, "nargs": 2, "metavar": ("LO", "HI")},
+    "[lo, hi] or null",
+    lambda value: value is None or (type(value) is list and len(value) == 2 and all(map(NUMBER.accepts, value))),
+)
+
+# the keywords of descend_scores and simulate_training that no library function gives a default
+DESCENT_DEFAULTS = {"steps": 200, "learning_rate": 1.0}
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One setting: flag --<key> (with _ as -), config key <key>, and the keyword `field` of `target` it fills."""
+
+    key: str
+    target: object
+    field: str
+    kind: Kind
+    help: str
+
+
+SETTINGS = {
+    s.key: s
+    for s in (
+        Setting("distance", DistanceSpec, "kind", _choice(DistanceKind), "distance function"),
+        Setting("lambda", DistanceSpec, "lam", NUMBER, "sigmoid steepness"),
+        Setting("delta", DistanceSpec, "delta", NUMBER, "step ramp half-width"),
+        Setting("rank_delta", LossConfig, "rank_delta", NUMBER_OR_NULL, "ramp half-width for smoothed ranks"),
+        Setting("threshold", FilterSpec, "threshold", NUMBER, "valid-pair score margin"),
+        Setting("filter_numerator", FilterSpec, "filter_numerator", SWITCH, "negcount: sum only valid pairs"),
+        Setting("q", PairBudget, "q", BUDGET, "pair budget (integer or 'unlimited')"),
+        Setting("mode", FilterSpec, "mode", _choice(FilterMode), "balance constant"),
+        Setting("grad_form", LossConfig, "gradient_form", _choice(GradientForm), "gradient derivation"),
+        Setting("reduction", LossConfig, "reduction", _choice(Reduction), "how anchor losses combine"),
+        Setting("seed", GeneratorSpec, "seed", INTEGER, "generator seed"),
+        Setting("n_pos", GeneratorSpec, "n_pos", INTEGER, "generated positives"),
+        Setting("n_neg", GeneratorSpec, "n_neg", INTEGER, "generated negatives"),
+        Setting("pos_mean", GeneratorSpec, "pos_mean", NUMBER, "mean of positive scores"),
+        Setting("pos_std", GeneratorSpec, "pos_std", NUMBER, "spread of positive scores"),
+        Setting("neg_mean", GeneratorSpec, "neg_mean", NUMBER, "mean of negative scores"),
+        Setting("neg_std", GeneratorSpec, "neg_std", NUMBER, "spread of negative scores"),
+        Setting("clamp", GeneratorSpec, "clamp", RANGE, "clip generated scores into [LO, HI]"),
+        Setting("steps", descend_scores, "steps", INTEGER, "descent steps"),
+        Setting("lr", descend_scores, "learning_rate", NUMBER, "learning rate"),
+        Setting("epsilon", gradient_check, "epsilon", NUMBER, "finite-difference step"),
+        Setting("tolerance", gradient_check, "tolerance", NUMBER, "gradcheck tolerance"),
+    )
+}
 
 
 def load_config_file(path: str) -> dict:
-    """Read a JSON config file into RunSettings field updates."""
+    """Read a JSON config file into {key: value}, each value checked against its setting's kind."""
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -120,68 +162,37 @@ def load_config_file(path: str) -> dict:
         raise ScoreFileError(f"config {path}: {exc.msg}", exc.lineno, exc.colno) from None
     if not isinstance(data, dict):
         raise ValidationError(f"config {path}: top level must be an object")
-    unknown = sorted(set(data) - set(_FILE_KEYS))
+    unknown = sorted(set(data) - set(SETTINGS))
     if unknown:
         raise ValidationError(f"config {path}: unknown keys {unknown}")
-    updates = {}
     for key, value in data.items():
-        field = _FILE_KEYS[key]
-        if field == "q" and isinstance(value, str):
-            value = _parse_q(value)
-        if field == "clamp" and value is not None:
-            if not (isinstance(value, (list, tuple)) and len(value) == 2):
-                raise ValidationError(f"config {path}: clamp must be [lo, hi] or null")
-            value = (float(value[0]), float(value[1]))
-        updates[field] = value
-    return updates
+        kind = SETTINGS[key].kind
+        if not kind.accepts(value):
+            raise ValidationError(f"config {path}: {key} must be {kind.json}, got {json.dumps(value)}")
+    return {key: SETTINGS[key].kind.load(value) for key, value in data.items()}
 
 
-def resolve_settings(args: argparse.Namespace) -> RunSettings:
-    settings = RunSettings()
-    path = getattr(args, "config", None) or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        for field, value in load_config_file(path).items():
-            setattr(settings, field, value)
-    for field in (f.name for f in fields(RunSettings)):
-        value = getattr(args, field, None)
-        if value is None:
-            continue
-        if field == "q" and value == "unlimited":
-            value = None
-        setattr(settings, field, value)
-    return settings
+def given_settings(args: argparse.Namespace) -> dict:
+    """The settings a run names: config file values, overridden by flags. Everything else is a library default."""
+    path = args.config or os.environ.get(CONFIG_ENV_VAR)
+    given = load_config_file(path) if path else {}
+    given.update((key, value) for key, value in vars(args).items() if key in SETTINGS)
+    return given
 
 
-def to_loss_config(settings: RunSettings) -> LossConfig:
-    return LossConfig(
-        distance=DistanceSpec(
-            kind=DistanceKind(settings.distance),
-            delta=float(settings.delta),
-            lam=float(settings.lam),
-        ),
-        pair_filter=FilterSpec(
-            mode=FilterMode(settings.mode),
-            threshold=float(settings.threshold),
-            filter_numerator=bool(settings.filter_numerator),
-        ),
-        budget=PairBudget(q=settings.q),
-        gradient_form=GradientForm(settings.grad_form),
-        reduction=Reduction(settings.reduction),
-        rank_delta=settings.rank_delta,
-    )
+def keywords(given: dict, target) -> dict:
+    """The given settings that fill keywords of `target`, as {field: value}."""
+    return {s.field: given[s.key] for s in SETTINGS.values() if s.target is target and s.key in given}
 
 
-def to_generator_spec(settings: RunSettings) -> GeneratorSpec:
-    return GeneratorSpec(
-        seed=settings.seed,
-        n_pos=settings.n_pos,
-        n_neg=settings.n_neg,
-        pos_mean=settings.pos_mean,
-        pos_std=settings.pos_std,
-        neg_mean=settings.neg_mean,
-        neg_std=settings.neg_std,
-        clamp=settings.clamp,
-    )
+def loss_config(given: dict) -> LossConfig:
+    """Build only the parts the settings name; the rest keep LossConfig's defaults (its budget is not PairBudget())."""
+    parts = {
+        name: part(**kw)
+        for name, part in (("distance", DistanceSpec), ("pair_filter", FilterSpec), ("budget", PairBudget))
+        if (kw := keywords(given, part))
+    }
+    return LossConfig(**parts, **keywords(given, LossConfig))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -208,8 +219,7 @@ def _stats_rows(result: LossResult) -> list[dict]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
-    config = to_loss_config(settings)
+    config = loss_config(given_settings(args))
     score_set = read_score_file(args.scores)
     if config.distance.is_smooth:
         result = evaluate_with_gradient(score_set, config)
@@ -223,7 +233,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = {
         "command": "eval",
         "total_loss": result.total_loss,
-        "reduction": settings.reduction,
+        "loss_distance": GRADIENT_LOSS if config.distance.is_smooth else config.distance.kind.value,
+        "reduction": config.reduction.value,
         "truncated": result.truncated,
         "active_pairs": result.active_pairs,
         "warnings": warnings,
@@ -235,10 +246,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
-    config = to_loss_config(settings)
+    given = given_settings(args)
+    config = loss_config(given)
     score_set = read_score_file(args.scores)
-    report = gradient_check(score_set, config, settings.epsilon, settings.tolerance)
+    report = gradient_check(score_set, config, **keywords(given, gradient_check))
     document = {
         "command": "gradcheck",
         "passed": report.passed,
@@ -255,31 +266,26 @@ def _sweep_values(parameter: str, raw: str) -> list:
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ValidationError("sweep needs at least one value")
-    if parameter == "Q":
-        return [_parse_q(p) for p in parts]
+    parse = _parse_q if parameter == "Q" else float
     try:
-        return [float(p) for p in parts]
+        return [parse(p) for p in parts]
     except ValueError:
         raise ValidationError(f"sweep values for {parameter} must be numbers, got {raw!r}") from None
 
 
-def _sweep_config(base: RunSettings, parameter: str, value) -> LossConfig:
-    settings = replace(base)
+def _sweep_config(base: LossConfig, parameter: str, value) -> LossConfig:
     if parameter == "lambda":
-        settings.lam = value
-    elif parameter == "delta":
-        settings.delta = value
-        settings.rank_delta = value
-    elif parameter == "T":
-        settings.threshold = value
-        settings.mode = FilterMode.VALID_NEG_COUNT.value
-    else:
-        settings.q = value
-    return to_loss_config(settings)
+        return replace(base, distance=replace(base.distance, lam=value))
+    if parameter == "delta":
+        return replace(base, distance=replace(base.distance, delta=value), rank_delta=value)
+    if parameter == "T":
+        return replace(base, pair_filter=replace(base.pair_filter, threshold=value, mode=FilterMode.VALID_NEG_COUNT))
+    return replace(base, budget=PairBudget(q=value))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
+    given = given_settings(args)
+    base = loss_config(given)
     parameter = {"lambda": "lambda", "delta": "delta", "t": "T", "q": "Q"}.get(args.parameter.lower())
     if parameter is None:
         raise ValidationError(
@@ -289,11 +295,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.scores:
         initial = read_score_file(args.scores)
     else:
-        initial = generate_scores(to_generator_spec(settings))
+        initial = generate_scores(GeneratorSpec(**keywords(given, GeneratorSpec)))
+    descent = {**DESCENT_DEFAULTS, **keywords(given, descend_scores)}
     rows = []
     for value in values:
-        config = _sweep_config(settings, parameter, value)
-        trajectory = descend_scores(initial, config, settings.steps, settings.lr)
+        trajectory = descend_scores(initial, _sweep_config(base, parameter, value), **descent)
         first, last = trajectory.records[0], trajectory.records[-1]
         rows.append(
             {
@@ -310,8 +316,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     document = {
         "command": "sweep",
         "parameter": parameter,
-        "steps": settings.steps,
-        "lr": settings.lr,
+        "loss_distance": GRADIENT_LOSS,
+        "steps": descent["steps"],
+        "lr": descent["learning_rate"],
         "rows": rows,
     }
     _emit(render_report(document), args.out)
@@ -319,7 +326,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
+    given = given_settings(args)
     kind = CURVE_FUNCTIONS.get(args.function.lower())
     if kind is None:
         raise ValidationError(
@@ -330,7 +337,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise ValidationError(f"samples must be >= 2, got {samples}")
     if not (math.isfinite(args.x_min) and math.isfinite(args.x_max) and args.x_min < args.x_max):
         raise ValidationError(f"need finite x_min < x_max, got [{args.x_min}, {args.x_max}]")
-    spec = DistanceSpec(kind=DistanceKind(kind), delta=settings.delta, lam=settings.lam)
+    spec = DistanceSpec(**{**keywords(given, DistanceSpec), "kind": kind})
     xs = np.linspace(args.x_min, args.x_max, samples)
     ys = distance_value(xs, spec)
     lines = [f"{format_float(float(x))} {format_float(float(y))}" for x, y in zip(xs, ys)]
@@ -338,13 +345,19 @@ def cmd_curve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _trajectory_document(trajectory: Trajectory, settings: RunSettings) -> dict:
-    return {
+def cmd_simulate(args: argparse.Namespace) -> int:
+    given = given_settings(args)
+    config = loss_config(given)
+    spec = GeneratorSpec(**keywords(given, GeneratorSpec))
+    descent = {**DESCENT_DEFAULTS, **keywords(given, descend_scores)}
+    trajectory = simulate_training(spec, config, **descent)
+    document = {
         "command": "simulate",
-        "seed": settings.seed,
-        "steps": settings.steps,
-        "lr": settings.lr,
-        "grad_form": settings.grad_form,
+        "seed": spec.seed,
+        "steps": descent["steps"],
+        "lr": descent["learning_rate"],
+        "grad_form": config.gradient_form.value,
+        "loss_distance": GRADIENT_LOSS,
         "records": [
             {
                 "step": r.step,
@@ -358,46 +371,19 @@ def _trajectory_document(trajectory: Trajectory, settings: RunSettings) -> dict:
         "final_loss": trajectory.final_loss,
         "final_ap": trajectory.final_ap,
     }
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    settings = resolve_settings(args)
-    config = to_loss_config(settings)
-    trajectory = simulate_training(to_generator_spec(settings), config, settings.steps, settings.lr)
-    _emit(render_report(_trajectory_document(trajectory, settings)), args.out)
+    _emit(render_report(document), args.out)
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help=f"JSON config file (default: ${CONFIG_ENV_VAR})")
-    parser.add_argument("--distance", choices=[k.value for k in DistanceKind])
-    parser.add_argument("--lambda", dest="lam", type=float, help="sigmoid steepness")
-    parser.add_argument("--delta", type=float, help="step ramp half-width")
-    parser.add_argument("--rank-delta", dest="rank_delta", type=float, help="ramp half-width for smoothed ranks")
-    parser.add_argument("--threshold", type=float, help="valid-pair score margin")
-    parser.add_argument("--q", type=_parse_q_flag, help="pair budget (integer or 'unlimited')")
-    parser.add_argument("--mode", choices=[m.value for m in FilterMode])
-    parser.add_argument("--grad-form", dest="grad_form", choices=[g.value for g in GradientForm])
-    parser.add_argument("--reduction", choices=[r.value for r in Reduction])
-    parser.add_argument(
-        "--filter-numerator",
-        dest="filter_numerator",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="restrict the pair sum to valid pairs in negcount mode",
-    )
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--n-pos", dest="n_pos", type=int)
-    parser.add_argument("--n-neg", dest="n_neg", type=int)
-    parser.add_argument("--pos-mean", dest="pos_mean", type=float)
-    parser.add_argument("--pos-std", dest="pos_std", type=float)
-    parser.add_argument("--neg-mean", dest="neg_mean", type=float)
-    parser.add_argument("--neg-std", dest="neg_std", type=float)
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--lr", type=float, help="learning rate")
-    parser.add_argument("--epsilon", type=float, help="finite-difference step")
-    parser.add_argument("--tolerance", type=float, help="gradcheck tolerance")
-    parser.add_argument("--out", help="write the report here instead of stdout")
+def _add_command(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+    # a setting absent from the namespace was not given, so the config file or the library supplies it
+    parser = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+    parser.add_argument("--config", default=None, help=f"JSON config file (default: ${CONFIG_ENV_VAR})")
+    for s in SETTINGS.values():
+        parser.add_argument("--" + s.key.replace("_", "-"), help=s.help, **s.kind.flag)
+    parser.add_argument("--out", default=None, help="write the report here instead of stdout")
+    parser.set_defaults(handler=handler)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,35 +393,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate loss (and gradient) on a score file")
+    p_eval = _add_command(sub, "eval", cmd_eval, "evaluate loss (and gradient) on a score file")
     p_eval.add_argument("scores", help="score CSV (index,score,label)")
-    _add_common(p_eval)
-    p_eval.set_defaults(handler=cmd_eval)
 
-    p_check = sub.add_parser("gradcheck", help="compare analytic gradient against finite differences")
+    p_check = _add_command(sub, "gradcheck", cmd_gradcheck, "compare analytic gradient against finite differences")
     p_check.add_argument("scores", help="score CSV (index,score,label)")
-    _add_common(p_check)
-    p_check.set_defaults(handler=cmd_gradcheck)
 
-    p_sweep = sub.add_parser("sweep", help="sweep lambda, delta, T, or Q over a value list")
-    p_sweep.add_argument("scores", nargs="?", help="optional score CSV; default is the synthetic generator")
+    p_sweep = _add_command(sub, "sweep", cmd_sweep, "sweep lambda, delta, T, or Q over a value list")
+    p_sweep.add_argument("scores", nargs="?", default=None, help="optional score CSV; default is generated scores")
     p_sweep.add_argument("--parameter", required=True, help="one of lambda, delta, T, Q")
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(handler=cmd_sweep)
 
-    p_curve = sub.add_parser("curve", help="sample a distance function on a grid")
+    p_curve = _add_command(sub, "curve", cmd_curve, "sample a distance function on a grid")
     p_curve.add_argument("--function", required=True, help="H (step), S (sigmoid), or CE")
     p_curve.add_argument("--x-min", dest="x_min", type=float, default=-1.0)
     p_curve.add_argument("--x-max", dest="x_max", type=float, default=1.0)
     p_curve.add_argument("--samples", type=int, default=101)
-    _add_common(p_curve)
-    p_curve.set_defaults(handler=cmd_curve)
 
-    p_sim = sub.add_parser("simulate", help="gradient-descent training on synthetic scores")
-    _add_common(p_sim)
-    p_sim.set_defaults(handler=cmd_simulate)
-
+    _add_command(sub, "simulate", cmd_simulate, "gradient-descent training on synthetic scores")
     return parser
 
 
@@ -450,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:  # the latter from _parse_q on sweep values
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
 

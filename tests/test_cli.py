@@ -4,8 +4,21 @@ import json
 
 import pytest
 
-from pairloss import write_score_file
-from pairloss.cli import CONFIG_ENV_VAR, main
+from pairloss import (
+    DistanceSpec,
+    GeneratorSpec,
+    LossConfig,
+    descend_scores,
+    evaluate_loss,
+    evaluate_with_gradient,
+    generate_scores,
+    gradient_check,
+    read_score_file,
+    write_score_file,
+)
+from pairloss import cli
+from pairloss.cli import CONFIG_ENV_VAR, SETTINGS, build_parser, given_settings, keywords, loss_config, main
+from pairloss.scorefile import round_floats
 
 from conftest import make_set
 
@@ -298,3 +311,146 @@ class TestArgparseSurface:
             main(["eval", equal_pair, "--q", "lots"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+# (config key, config-file value, flag arguments): every row of the settings table, each
+# at a value other than its default, plus the alternative spellings a key accepts
+SETTING_SAMPLES = [
+    ("distance", "sigmoid", ["sigmoid"]),
+    ("lambda", 4.0, ["4"]),
+    ("lambda", 4, ["4"]),
+    ("delta", 0.25, ["0.25"]),
+    ("rank_delta", 0.125, ["0.125"]),
+    ("threshold", 0.1, ["0.1"]),
+    ("filter_numerator", False, None),
+    ("q", 7, ["7"]),
+    ("q", "unlimited", ["unlimited"]),
+    ("q", None, ["unlimited"]),
+    ("mode", "negcount", ["negcount"]),
+    ("grad_form", "autodiff-ce", ["autodiff-ce"]),
+    ("reduction", "sum", ["sum"]),
+    ("seed", 3, ["3"]),
+    ("n_pos", 4, ["4"]),
+    ("n_neg", 9, ["9"]),
+    ("pos_mean", 0.7, ["0.7"]),
+    ("pos_std", 0.2, ["0.2"]),
+    ("neg_mean", 0.3, ["0.3"]),
+    ("neg_std", 0.05, ["0.05"]),
+    ("clamp", [0.1, 0.9], ["0.1", "0.9"]),
+    ("steps", 5, ["5"]),
+    ("lr", 0.5, ["0.5"]),
+    ("epsilon", 1e-7, ["1e-7"]),
+    ("tolerance", 1e-4, ["1e-4"]),
+]
+
+
+def built(argv):
+    """Everything a run builds from its settings: the loss config, the generator and the run keywords."""
+    given = given_settings(build_parser().parse_args(argv))
+    return (
+        loss_config(given),
+        GeneratorSpec(**keywords(given, GeneratorSpec)),
+        keywords(given, descend_scores),
+        keywords(given, gradient_check),
+    )
+
+
+class TestSettingsTable:
+    def test_samples_cover_every_row(self):
+        assert {key for key, _, _ in SETTING_SAMPLES} == set(SETTINGS)
+
+    @pytest.mark.parametrize(("key", "value", "flag_args"), SETTING_SAMPLES)
+    def test_flag_and_config_key_build_the_same_run(self, tmp_path, key, value, flag_args):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
+        flag = "--" + key.replace("_", "-")
+        if flag_args is None:  # a switch: the sample turns it off
+            flag, flag_args = "--no-" + flag[2:], []
+        from_file = built(["simulate", "--config", str(path)])
+        from_flag = built(["simulate", flag, *flag_args])
+        assert from_file == from_flag
+        assert from_file != built(["simulate"])
+
+    def test_no_settings_build_the_library_defaults(self):
+        assert built(["simulate"]) == (LossConfig(), GeneratorSpec(), {}, {})
+
+    def test_eval_without_flags_matches_the_library_bit_for_bit(self, capsys, mixed_file, monkeypatch):
+        seen = []
+
+        def spy(score_set, config):
+            seen.append((score_set, config))
+            return evaluate_with_gradient(score_set, config)
+
+        monkeypatch.setattr(cli, "evaluate_with_gradient", spy)
+        report = run_json(capsys, ["eval", mixed_file])
+        ((score_set, config),) = seen
+        assert config == LossConfig()
+        direct = evaluate_with_gradient(score_set, LossConfig())
+        assert report["total_loss"] == round_floats(direct.total_loss)
+        assert report["gradient"] == round_floats(direct.gradient)
+        assert [row["loss"] for row in report["per_anchor"]] == round_floats(list(direct.per_anchor_loss.values()))
+
+    @pytest.mark.parametrize("command", ["eval", "gradcheck", "sweep", "curve", "simulate"])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert "--clamp LO HI" in capsys.readouterr().out
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        ("payload", "named"),
+        [
+            ({"mode": "negcount", "filter_numerator": "false"}, "filter_numerator must be true or false"),
+            ({"lambda": True}, "lambda must be a number"),
+            ({"lambda": "4"}, "lambda must be a number"),
+            ({"q": "lots"}, "q must be an integer, null or"),
+            ({"q": 2.5}, "q must be an integer, null or"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"clamp": [0, "1"]}, "clamp must be [lo, hi] or null"),
+            ({"distance": "tanh"}, "distance must be one of"),
+        ],
+    )
+    def test_wrong_type_exits_3_naming_the_key(self, capsys, tmp_path, equal_pair, payload, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["eval", equal_pair, "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+
+    def test_unparseable_sweep_budget_exits_3(self, capsys):
+        argv = ["sweep", "--parameter", "Q", "--values", "10,lots", "--n-pos", "3", "--n-neg", "5", "--steps", "1"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: q must be an integer or 'unlimited', got 'lots'")
+        assert "Traceback" not in err
+
+
+class TestLossDistance:
+    @pytest.fixture
+    def set_5_20(self, tmp_path):
+        path = str(tmp_path / "g520.csv")
+        write_score_file(path, generate_scores(GeneratorSpec(n_pos=5, n_neg=20)))
+        return path, read_score_file(path)
+
+    def test_smooth_eval_reports_the_cross_entropy_loss(self, capsys, set_5_20):
+        path, score_set = set_5_20
+        report = run_json(capsys, ["eval", path, "--distance", "sigmoid"])
+        config = LossConfig(distance=DistanceSpec(kind="sigmoid"))
+        assert report["loss_distance"] == "ce-sigmoid"
+        assert report["total_loss"] == round_floats(evaluate_with_gradient(score_set, config).total_loss)
+        assert report["total_loss"] != round_floats(evaluate_loss(score_set, config).total_loss)
+
+    def test_step_eval_reports_the_step_loss(self, capsys, set_5_20):
+        path, score_set = set_5_20
+        report = run_json(capsys, ["eval", path, "--distance", "step"])
+        config = LossConfig(distance=DistanceSpec(kind="step"))
+        assert report["loss_distance"] == "step"
+        assert report["total_loss"] == round_floats(evaluate_loss(score_set, config).total_loss)
+
+    @pytest.mark.parametrize("command", [["sweep", "--parameter", "lambda", "--values", "4"], ["simulate"]])
+    def test_descent_reports_the_cross_entropy_loss(self, capsys, command):
+        report = run_json(capsys, [*command, "--distance", "sigmoid", "--n-pos", "3", "--n-neg", "5", "--steps", "1"])
+        assert report["loss_distance"] == "ce-sigmoid"
