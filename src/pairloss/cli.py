@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,8 +48,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_VALIDATION_ERROR = 3
 
-SWEEP_PARAMETERS = ("lambda", "delta", "T", "Q")
-
 # the gradient paths report the cross-entropy loss, whatever distance is configured
 GRADIENT_LOSS = DistanceKind.CE_SIGMOID.value
 
@@ -74,7 +72,7 @@ class Kind:
 
 
 def _parse_q(text: str):
-    """The --q flag and sweep values: an integer, or 'unlimited'."""
+    """The --q flag and Q sweep values: an integer, or 'unlimited'."""
     if text.strip().lower() in {"unlimited", "none"}:
         return None
     try:
@@ -146,6 +144,15 @@ SETTINGS = {
         Setting("epsilon", gradient_check, "epsilon", NUMBER, "finite-difference step"),
         Setting("tolerance", gradient_check, "tolerance", NUMBER, "gradcheck tolerance"),
     )
+}
+
+
+# each sweep parameter: the SETTINGS keys its value fills, and the settings it fixes
+SWEEPS = {
+    "lambda": (("lambda",), {}),
+    "delta": (("delta", "rank_delta"), {}),
+    "T": (("threshold",), {"mode": FilterMode.VALID_NEG_COUNT.value}),
+    "Q": (("q",), {}),
 }
 
 
@@ -262,36 +269,20 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _sweep_values(parameter: str, raw: str) -> list:
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ValidationError("sweep needs at least one value")
-    parse = _parse_q if parameter == "Q" else float
-    try:
-        return [parse(p) for p in parts]
-    except ValueError:
-        raise ValidationError(f"sweep values for {parameter} must be numbers, got {raw!r}") from None
-
-
-def _sweep_config(base: LossConfig, parameter: str, value) -> LossConfig:
-    if parameter == "lambda":
-        return replace(base, distance=replace(base.distance, lam=value))
-    if parameter == "delta":
-        return replace(base, distance=replace(base.distance, delta=value), rank_delta=value)
-    if parameter == "T":
-        return replace(base, pair_filter=replace(base.pair_filter, threshold=value, mode=FilterMode.VALID_NEG_COUNT))
-    return replace(base, budget=PairBudget(q=value))
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     given = given_settings(args)
-    base = loss_config(given)
-    parameter = {"lambda": "lambda", "delta": "delta", "t": "T", "q": "Q"}.get(args.parameter.lower())
+    loss_config(given)  # the base fails before any descent runs
+    parameter = {name.lower(): name for name in SWEEPS}.get(args.parameter.lower())
     if parameter is None:
-        raise ValidationError(
-            f"unknown sweep parameter {args.parameter!r}, expected one of {list(SWEEP_PARAMETERS)}"
-        )
-    values = _sweep_values(parameter, args.values)
+        raise ValidationError(f"unknown sweep parameter {args.parameter!r}, expected one of {list(SWEEPS)}")
+    fills, fixed = SWEEPS[parameter]
+    parts = [p.strip() for p in args.values.split(",") if p.strip()]
+    if not parts:
+        raise ValidationError("sweep needs at least one value")
+    try:
+        values = [SETTINGS[fills[0]].kind.flag["type"](p) for p in parts]
+    except ValueError:
+        raise ValidationError(f"sweep values for {parameter} must be numbers, got {args.values!r}") from None
     if args.scores:
         initial = read_score_file(args.scores)
     else:
@@ -299,7 +290,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     descent = {**DESCENT_DEFAULTS, **keywords(given, descend_scores)}
     rows = []
     for value in values:
-        trajectory = descend_scores(initial, _sweep_config(base, parameter, value), **descent)
+        config = loss_config({**given, **fixed, **dict.fromkeys(fills, value)})
+        trajectory = descend_scores(initial, config, **descent)
         first, last = trajectory.records[0], trajectory.records[-1]
         rows.append(
             {

@@ -217,7 +217,8 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
     for rows in row_blocks(live.size, sel.size):
         at = live[rows]
         anchors = pos[at]
-        diffs = sel_scores - scores[anchors, None]
+        with np.errstate(over="ignore"):  # an overflowed difference fails the distance kernel's finiteness check
+            diffs = sel_scores - scores[anchors, None]
         if restrict:
             keep = diffs > threshold
             counts = np.count_nonzero(keep, axis=1)

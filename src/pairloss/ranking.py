@@ -78,11 +78,13 @@ def compute_ranks(score_set: ScoreSet, u, rank_delta: float = 0.5):
     others = np.arange(pos.size - 1)
     own = np.searchsorted(pos, anchors)[:, None]
     ranks = np.empty((2, anchors.size))
-    for rows in row_blocks(anchors.size, pos.size + neg_scores.size):
-        s_u = scores[anchors[rows], None]
-        other_pos = pos[others + (others >= own[rows])]
-        ranks[0, rows] = 1.0 + np.sum(step_distance(scores[other_pos] - s_u, rank_delta), axis=1)
-        ranks[1, rows] = np.sum(step_distance(neg_scores - s_u, rank_delta), axis=1)
+    # finite scores can differ by more than a double holds; step_distance rejects the inf
+    with np.errstate(over="ignore"):
+        for rows in row_blocks(anchors.size, pos.size + neg_scores.size):
+            s_u = scores[anchors[rows], None]
+            other_pos = pos[others + (others >= own[rows])]
+            ranks[0, rows] = 1.0 + np.sum(step_distance(scores[other_pos] - s_u, rank_delta), axis=1)
+            ranks[1, rows] = np.sum(step_distance(neg_scores - s_u, rank_delta), axis=1)
     return tuple(ranks[:, 0].tolist()) if scalar else tuple(ranks)
 
 
@@ -107,8 +109,10 @@ def valid_negative_count(score_set: ScoreSet, u, threshold: float = 0.25):
     scores = score_set.scores
     neg_scores = scores[score_set.negative_indices]
     counts = np.empty(anchors.size, dtype=np.int64)
-    for rows in row_blocks(anchors.size, neg_scores.size):
-        counts[rows] = np.count_nonzero(neg_scores - scores[anchors[rows], None] > threshold, axis=1)
+    # a difference that overflows to +-inf still compares correctly with the threshold
+    with np.errstate(over="ignore"):
+        for rows in row_blocks(anchors.size, neg_scores.size):
+            counts[rows] = np.count_nonzero(neg_scores - scores[anchors[rows], None] > threshold, axis=1)
     return int(counts[0]) if scalar else counts
 
 

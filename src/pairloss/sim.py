@@ -23,6 +23,8 @@ from .types import (
     ScoreSet,
     UndefinedMetricError,
     ValidationError,
+    require_finite,
+    to_float,
 )
 
 
@@ -61,14 +63,12 @@ class GeneratorSpec:
         object.__setattr__(self, "n_pos", _check_count("n_pos", self.n_pos))
         object.__setattr__(self, "n_neg", _check_count("n_neg", self.n_neg))
         for name in ("pos_mean", "pos_std", "neg_mean", "neg_std"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value!r}")
+            value = require_finite(name, getattr(self, name))
             if name.endswith("std") and value < 0:
                 raise ValidationError(f"{name} must be >= 0, got {value}")
             object.__setattr__(self, name, value)
         if self.clamp is not None:
-            lo, hi = (float(v) for v in self.clamp)
+            lo, hi = (to_float("clamp", v) for v in self.clamp)
             if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
                 raise ValidationError(f"clamp must be a finite [lo, hi] with lo < hi, got {self.clamp!r}")
             object.__setattr__(self, "clamp", (lo, hi))
@@ -174,11 +174,11 @@ def descend_scores(
     learning_rate: float,
 ) -> Trajectory:
     """Gradient descent on an existing score set; see simulate_training."""
-    if isinstance(steps, bool) or not isinstance(steps, int):
+    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
         raise ValidationError(f"steps must be a positive integer, got {steps!r}")
     if steps < 1:
         raise ValidationError(f"steps must be >= 1, got {steps}")
-    learning_rate = float(learning_rate)
+    learning_rate = to_float("learning_rate", learning_rate)
     if not (math.isfinite(learning_rate) and learning_rate >= 0):
         raise ValidationError(f"learning_rate must be finite and >= 0, got {learning_rate!r}")
     if score_set.positive_indices.size < 1:

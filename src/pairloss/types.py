@@ -70,8 +70,16 @@ class Reduction(str, Enum):
     SUM = "sum"
 
 
-def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+def to_float(name: str, value) -> float:
+    """float(value), with an integer too large for a double reported as a ValidationError naming `name`."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} is too large for a double") from None
+
+
+def require_finite(name: str, value) -> float:
+    value = to_float(name, value)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
@@ -151,8 +159,8 @@ class DistanceSpec:
     def __post_init__(self) -> None:
         kind = DistanceKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "delta", float(self.delta))
-        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "delta", to_float("delta", self.delta))
+        object.__setattr__(self, "lam", to_float("lam", self.lam))
         if kind is DistanceKind.STEP:
             if not (math.isfinite(self.delta) and self.delta > 0):
                 raise ValidationError(f"delta must be > 0 for step distance, got {self.delta!r}")
@@ -182,7 +190,7 @@ class FilterSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", FilterMode(self.mode))
-        threshold = _require_finite("threshold", self.threshold)
+        threshold = require_finite("threshold", self.threshold)
         if threshold < 0:
             raise ValidationError(f"threshold must be >= 0, got {threshold!r}")
         object.__setattr__(self, "threshold", threshold)
@@ -245,7 +253,7 @@ class LossConfig:
         if self.rank_delta is None:
             resolved = self.distance.delta if self.distance.kind is DistanceKind.STEP else 0.5
         else:
-            resolved = float(self.rank_delta)
+            resolved = to_float("rank_delta", self.rank_delta)
         if not (math.isfinite(resolved) and resolved > 0):
             raise ValidationError(f"rank_delta must be > 0, got {resolved!r}")
         object.__setattr__(self, "rank_delta", resolved)

@@ -1,19 +1,29 @@
 """End-to-end command-line tests driven through main(argv) in process."""
 
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
 from pairloss import (
     DistanceSpec,
+    FilterSpec,
     GeneratorSpec,
     LossConfig,
+    PairBudget,
     descend_scores,
     evaluate_loss,
     evaluate_with_gradient,
     generate_scores,
     gradient_check,
     read_score_file,
+    simulate_training,
     write_score_file,
 )
 from pairloss import cli
@@ -121,6 +131,17 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("validation error: pair sum of anchor 100 overflows")
         assert "Traceback" not in err
+
+
+    def test_overflowing_score_differences_exit_3_without_warnings(self, tmp_path):
+        # finite scores whose difference overflows; numpy must not print a RuntimeWarning
+        path = score_file(tmp_path, [-1e308, 1e308], [1, 0])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        run = subprocess.run(
+            [sys.executable, "-m", "pairloss.cli", "eval", path], capture_output=True, text=True, env=env
+        )
+        assert run.returncode == 3
+        assert run.stderr == "validation error: x must be finite\n"
 
 
 class TestGradcheck:
@@ -233,6 +254,49 @@ class TestSweep:
     def test_unknown_parameter_rejected(self, capsys):
         assert main(["sweep", "--parameter", "gamma", "--values", "1", *self.FAST]) == 3
         assert "unknown sweep parameter" in capsys.readouterr().err
+
+
+class TestSweepMatchesTheLibrary:
+    """Each sweep row is descend_scores on the config an ablation table builds by hand."""
+
+    FAST = ["--n-pos", "10", "--n-neg", "60", "--steps", "3"]
+    GRIDS = {
+        "lambda": ([2.0, 4.0, 8.0, 16.0], lambda lam: LossConfig(distance=DistanceSpec(lam=lam))),
+        "delta": ([1.0, 0.5, 0.25, 0.125], lambda d: LossConfig(distance=DistanceSpec(delta=d), rank_delta=d)),
+        "T": ([0.0, 0.2, 0.25, 0.3, 0.5], lambda t: LossConfig(pair_filter=FilterSpec(mode="negcount", threshold=t))),
+        "Q": ([10, 100, 1000, None], lambda q: LossConfig(budget=PairBudget(q))),
+    }
+
+    @pytest.mark.parametrize("parameter", GRIDS)
+    def test_rows(self, capsys, parameter):
+        values, make_config = self.GRIDS[parameter]
+        listed = ",".join("unlimited" if v is None else str(v) for v in values)
+        report = run_json(capsys, ["sweep", "--parameter", parameter, "--values", listed, *self.FAST])
+        initial = generate_scores(GeneratorSpec(n_pos=10, n_neg=60))
+        expected = []
+        for value in values:
+            records = descend_scores(initial, make_config(value), 3, 1.0).records
+            first, last = records[0], records[-1]
+            expected.append(
+                {
+                    "parameter": parameter,
+                    "value": "unlimited" if value is None else value,
+                    "initial_loss": first.total_loss,
+                    "final_loss": last.total_loss,
+                    "initial_ap": first.ranking_ap,
+                    "final_ap": last.ranking_ap,
+                    "initial_active_pairs": first.active_pairs,
+                    "final_active_pairs": last.active_pairs,
+                }
+            )
+        assert report["rows"] == round_floats(expected)
+
+    def test_simulate(self, capsys):
+        report = run_json(capsys, ["simulate", "--steps", "3"])
+        trajectory = simulate_training(GeneratorSpec(), LossConfig(), 3, 1.0)
+        assert report["records"] == round_floats([asdict(r) for r in trajectory.records])
+        assert report["final_loss"] == round_floats(trajectory.final_loss)
+        assert report["final_ap"] == round_floats(trajectory.final_ap)
 
 
 class TestCurve:
@@ -428,6 +492,13 @@ class TestConfigTypes:
         assert "Traceback" not in err
 
 
+    def test_integer_too_large_for_a_double_exits_3(self, capsys, tmp_path, equal_pair):
+        path = tmp_path / "config.json"
+        path.write_text('{"lambda": 1' + "0" * 400 + "}", encoding="utf-8")
+        assert main(["eval", equal_pair, "--config", str(path)]) == 3
+        assert capsys.readouterr().err == "validation error: lam is too large for a double\n"
+
+
 class TestLossDistance:
     @pytest.fixture
     def set_5_20(self, tmp_path):
@@ -454,3 +525,21 @@ class TestLossDistance:
     def test_descent_reports_the_cross_entropy_loss(self, capsys, command):
         report = run_json(capsys, [*command, "--distance", "sigmoid", "--n-pos", "3", "--n-neg", "5", "--steps", "1"])
         assert report["loss_distance"] == "ce-sigmoid"
+
+
+def readme_commands() -> list[str]:
+    """Every `pairloss ...` line of the README's sh blocks, without its comment."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+    return [line.partition("#")[0] for block in blocks for line in block.splitlines() if line.startswith("pairloss ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -415,6 +415,22 @@ class TestOverflow:
             evaluate_loss(ss, LossConfig(distance=DistanceSpec(kind=DistanceKind.CE_SIGMOID, lam=1.0)))
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_score_differences_are_validation_errors(self):
+        # finite scores whose difference overflows: the kernels reject it, and no RuntimeWarning escapes
+        ss = make_set([-1e308, 1e308], [1, 0])
+        for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce):
+            for config in (CE8, NEGCOUNT):
+                with pytest.raises(ValidationError, match="must be finite"):
+                    fn(ss, config)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_differences_of_a_perfect_ranking_cost_nothing_under_negcount(self):
+        ss = make_set([1e308, -1e308], [1, 0])
+        for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce):
+            assert fn(ss, NEGCOUNT).total_loss == 0.0
+
+
 class TestMemory:
     def test_peak_memory_is_bounded_by_the_block(self):
         ss = generate_scores(GeneratorSpec(seed=35, n_pos=300, n_neg=20000))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pairloss import (
+    DistanceSpec,
     DivergenceError,
     FilterSpec,
     GeneratorSpec,
@@ -43,6 +44,26 @@ class TestGeneratorSpec:
             GeneratorSpec(seed=-1)
         with pytest.raises(ValidationError):
             GeneratorSpec(neg_mean=float("inf"))
+
+
+class TestIntegersTooLargeForADouble:
+    @pytest.mark.parametrize(
+        ("build", "field"),
+        [
+            (lambda: DistanceSpec(lam=10**400), "lam"),
+            (lambda: FilterSpec(threshold=10**400), "threshold"),
+            (lambda: LossConfig(rank_delta=10**400), "rank_delta"),
+            (lambda: GeneratorSpec(pos_mean=10**400), "pos_mean"),
+            (lambda: GeneratorSpec(clamp=(0, 10**400)), "clamp"),
+            (lambda: descend_scores(make_set([0.5, 0.4], [1, 0]), CE8, 1, 10**400), "learning_rate"),
+        ],
+    )
+    def test_validation_error_names_the_field(self, build, field):
+        with pytest.raises(ValidationError, match=f"^{field} is too large for a double$"):
+            build()
+
+    def test_unused_distance_parameter_may_still_be_infinite(self):
+        assert DistanceSpec(kind="step", lam=float("inf")).lam == float("inf")
 
 
 class TestGenerateScores:
@@ -189,6 +210,10 @@ class TestSimulateTraining:
         message = str(info.value)
         assert "step 1" in message
         assert "index 2 is -inf" in message
+
+    def test_numpy_integer_steps(self):
+        ss = generate_scores(GeneratorSpec(seed=1, n_pos=2, n_neg=4))
+        assert descend_scores(ss, CE8, np.int64(3), 1.0).records == descend_scores(ss, CE8, 3, 1.0).records
 
     def test_validation(self):
         spec = GeneratorSpec(seed=1, n_pos=2, n_neg=4)
