@@ -11,11 +11,21 @@ convention everywhere is d/d(anchor score): the argument x is
 score[negative] - score[anchor], so d/d(anchor) = -d/dx.
 
 Numerical notes. The ramp is computed as 0.5 + 0.5*(x/delta) inside the
-clamp, so huge |x| cannot overflow the way (x + delta) can. The sigmoid goes
-through scipy.special.expit, which is branch-stable for large |lam*x|. The
-cross-entropy form -(1/lam)*log(1 - sigmoid(lam*x)) loses everything to
-rounding once lam*x > ~37, so it is evaluated as np.logaddexp(0, lam*x)/lam,
-which is the same function arranged without the cancellation.
+clamp, so huge |x| cannot overflow the way (x + delta) can. Every sigmoid
+value comes from one helper, _sigmoid(z) = 1 / (1 + exp(-z)); where exp
+overflows the quotient saturates to exactly 0. The cross-entropy form
+-(1/lam)*log(1 - sigmoid(lam*x)) loses everything to rounding once
+lam*x > ~37, so it is evaluated as np.logaddexp(0, lam*x)/lam, which is the
+same function arranged without the cancellation; where that overflows,
+CE(x) = x.
+
+Determinism. np.exp runs on the SIMD code numpy selects for the CPU at
+import (NEP 38 dispatch), so sigmoid values are bitwise repeatable on one
+machine with one numpy build. Between numpy 2.4's AVX-512 and baseline
+x86-64 code, exp differs by at most 1 ulp and a sigmoid value by at most
+2 ulp, except where exp(-z) lies in [2^53, 2^54) (z in about
+[-37.5, -36.7], values near 1e-16): there the rounding of 1 + exp(-z) can
+double a 1-ulp step of exp to 4 ulp. tests/test_determinism.py pins this.
 """
 
 from __future__ import annotations
@@ -23,7 +33,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from .types import DistanceKind, DistanceSpec, ValidationError
 
@@ -46,6 +55,11 @@ def _ret(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)); callers ignore the overflow of exp(-z), which saturates the result to 0."""
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def step_distance(x, delta: float = 0.5):
     """Clamped linear ramp H(x) = clip((x + delta) / (2 delta), 0, 1).
 
@@ -63,9 +77,9 @@ def sigmoid_distance(x, lam: float = 8.0):
     """Logistic distance S(x) = 1 / (1 + exp(-lam * x))."""
     lam = _check_param("lam", lam)
     arr, scalar = _prepare(x)
-    # lam * x may overflow to +-inf for extreme scores; expit saturates correctly
+    # lam * x may overflow to +-inf for extreme scores; the sigmoid saturates correctly
     with np.errstate(over="ignore"):
-        return _ret(expit(lam * arr), scalar)
+        return _ret(_sigmoid(lam * arr), scalar)
 
 
 def sigmoid_distance_grad_wrt_u(x, lam: float = 8.0):
@@ -78,7 +92,7 @@ def sigmoid_distance_grad_wrt_u(x, lam: float = 8.0):
     arr, scalar = _prepare(x)
     with np.errstate(over="ignore"):
         z = lam * arr
-        return _ret(-lam * expit(z) * expit(-z), scalar)
+        return _ret(-lam * _sigmoid(z) * _sigmoid(-z), scalar)
 
 
 def ce_distance(x, lam: float = 8.0):
@@ -91,7 +105,11 @@ def ce_distance(x, lam: float = 8.0):
     lam = _check_param("lam", lam)
     arr, scalar = _prepare(x)
     with np.errstate(over="ignore"):
-        return _ret(np.logaddexp(0.0, lam * arr) / lam, scalar)
+        out = np.logaddexp(0.0, lam * arr) / lam
+    # CE(x) -> x as lam * x grows, so x is the value where this overflows
+    if out.max(initial=0.0) == np.inf:
+        out = np.where(np.isinf(out), arr, out)
+    return _ret(out, scalar)
 
 
 def ce_distance_grad_wrt_u(x, lam: float = 8.0):
@@ -103,7 +121,7 @@ def ce_distance_grad_wrt_u(x, lam: float = 8.0):
     lam = _check_param("lam", lam)
     arr, scalar = _prepare(x)
     with np.errstate(over="ignore"):
-        return _ret(-expit(lam * arr), scalar)
+        return _ret(-_sigmoid(lam * arr), scalar)
 
 
 def distance_value(x, spec: DistanceSpec):

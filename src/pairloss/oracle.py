@@ -85,13 +85,19 @@ def _bf_softplus(z: float) -> float:
     return math.log1p(math.exp(z))
 
 
+def _bf_ce(x: float, lam: float) -> float:
+    value = _bf_softplus(lam * x) / lam
+    # CE(x) -> x as lam * x grows, so x is the value where this overflows
+    return x if value == math.inf else value
+
+
 def _bf_distance(x: float, config: LossConfig) -> float:
     spec = config.distance
     if spec.kind is DistanceKind.STEP:
         return _bf_ramp(x, spec.delta)
     if spec.kind is DistanceKind.SIGMOID:
         return _bf_sigmoid(spec.lam * x)
-    return _bf_softplus(spec.lam * x) / spec.lam
+    return _bf_ce(x, spec.lam)
 
 
 def _bf_top_q(scores: list[float], neg: list[int], q: int | None) -> list[int]:
@@ -152,7 +158,7 @@ def _bf_forward(
             if restrict and not x > threshold:
                 continue
             if ce_only:
-                acc += _bf_softplus(lam * x) / lam
+                acc += _bf_ce(x, lam)
             else:
                 acc += _bf_distance(x, config)
             if grad is not None:

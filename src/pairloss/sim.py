@@ -5,7 +5,10 @@ descent (no momentum) on the loss drives positive scores up and negative
 scores down, which is the cheapest honest demonstration that the gradient
 ranks. Determinism contract: scores come from numpy's PCG64 generator with
 explicit seeding (positives drawn before negatives), so a (spec, config,
-steps, lr) tuple reproduces bit-identical trajectories on any platform.
+steps, lr) tuple reproduces bit-identical trajectories on one machine with
+one numpy build. The gradient's sigmoid masses go through np.exp, whose
+code numpy picks per CPU (see pairloss.distance), so across CPU dispatch
+targets trajectories agree to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -113,18 +116,21 @@ def generate_scores(spec: GeneratorSpec) -> ScoreSet:
     if not isinstance(spec, GeneratorSpec):
         raise ValidationError("spec must be a GeneratorSpec")
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    pos = spec.pos_mean + spec.pos_std * rng.standard_normal(spec.n_pos)
-    neg = spec.neg_mean + spec.neg_std * rng.standard_normal(spec.n_neg)
-    scores = np.concatenate([pos, neg])
-    if spec.clamp is not None:
-        lo, hi = spec.clamp
-        scores = np.clip(scores, lo, hi)
-    labels = np.concatenate(
-        [
-            np.full(spec.n_pos, Label.POSITIVE, dtype=np.int64),
-            np.full(spec.n_neg, Label.NEGATIVE, dtype=np.int64),
-        ]
-    )
+    try:
+        pos = spec.pos_mean + spec.pos_std * rng.standard_normal(spec.n_pos)
+        neg = spec.neg_mean + spec.neg_std * rng.standard_normal(spec.n_neg)
+        scores = np.concatenate([pos, neg])
+        if spec.clamp is not None:
+            lo, hi = spec.clamp
+            scores = np.clip(scores, lo, hi)
+        labels = np.concatenate(
+            [
+                np.full(spec.n_pos, Label.POSITIVE, dtype=np.int64),
+                np.full(spec.n_neg, Label.NEGATIVE, dtype=np.int64),
+            ]
+        )
+    except (MemoryError, ValueError):  # numpy refuses sizes beyond memory or the address space
+        raise ValidationError(f"n_pos + n_neg = {spec.n_pos + spec.n_neg} scores are too many to allocate") from None
     return ScoreSet(scores=scores, labels=labels)
 
 

@@ -356,6 +356,13 @@ class TestSimulate:
         b = run_json(capsys, ["simulate", *self.FAST, "--grad-form", "autodiff-ce"])
         assert a["records"] == b["records"]
 
+    def test_size_beyond_memory_exits_3(self, capsys):
+        # numpy refuses 10**15 doubles before allocating anything
+        assert main(["simulate", "--n-pos", str(10**15), "--steps", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: n_pos + n_neg = {10**15 + 500} ")
+        assert "Traceback" not in err
+
 
 class TestArgparseSurface:
     def test_unknown_flag_exits_2(self, equal_pair, capsys):
@@ -525,6 +532,21 @@ class TestLossDistance:
     def test_descent_reports_the_cross_entropy_loss(self, capsys, command):
         report = run_json(capsys, [*command, "--distance", "sigmoid", "--n-pos", "3", "--n-neg", "5", "--steps", "1"])
         assert report["loss_distance"] == "ce-sigmoid"
+
+
+IMPORTED_PACKAGES = """
+import sys
+before = set(sys.modules)
+import pairloss.cli
+print(sorted({name.partition(".")[0] for name in set(sys.modules) - before} - set(sys.stdlib_module_names)))
+"""
+
+
+def test_import_loads_no_dependency_but_numpy():
+    # in a fresh interpreter, so no package another test imported can hide in sys.modules
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", IMPORTED_PACKAGES], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout == "['numpy', 'pairloss']\n"
 
 
 def readme_commands() -> list[str]:

@@ -151,6 +151,11 @@ class TestCeDistance:
     def test_asymptotically_linear(self):
         assert rel_close(ce_distance(50.0, 8.0), 50.0, rel=1e-12)
 
+    def test_overflowing_lam_x_returns_x(self):
+        # lam * x overflows to inf, but CE(x) -> x is finite there
+        assert ce_distance(3e307, 8.0) == 3e307
+        np.testing.assert_array_equal(ce_distance(np.array([3e307, -3e307, 2e307]), 8.0), [3e307, 0.0, 2e307])
+
     @given(x=finite_x, lam=st.floats(min_value=0.1, max_value=64.0))
     def test_nonnegative(self, x, lam):
         assert ce_distance(x, lam) >= 0.0

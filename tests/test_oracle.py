@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairloss import (
     DistanceKind,
@@ -14,6 +16,7 @@ from pairloss import (
     ValidationError,
     brute_force_loss,
     evaluate_loss,
+    evaluate_with_gradient,
     finite_difference_gradient,
     gradient_check,
     gradient_error_driven,
@@ -71,6 +74,76 @@ class TestBruteForce:
         big = make_set(np.zeros(2001), np.zeros(2001, dtype=np.int64))
         with pytest.raises(ValidationError):
             brute_force_loss(big, CE8)
+
+    def test_sigmoid_tails_match_per_pair(self):
+        # one anchor, negatives placed so that lam * x sweeps every double sigmoid value, 1e-323 to 1
+        xs = np.concatenate([np.linspace(-0.745, 0.745, 1491), np.linspace(-0.04, 0.04, 401)])
+        ss = make_set(np.concatenate([[0.0], xs]), [1] + [0] * xs.size)
+        config = LossConfig(distance=DistanceSpec(lam=1e3), reduction="sum")
+        ref = brute_force_loss(ss, config)
+        np.testing.assert_allclose(ref.gradient, gradient_error_driven(ss, config).gradient, rtol=1e-12, atol=1e-300)
+        assert ref.total_loss == pytest.approx(evaluate_loss(ss, config).total_loss, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["ranksum", "negcount"])
+    def test_overflowing_ce_term_agrees(self, mode):
+        # lam * x = 2.4e308 overflows, but the pair's cross-entropy is x = 3e307
+        ss = make_set([-1.5e307, 1.5e307], [1, 0])
+        config = LossConfig(pair_filter=FilterSpec(mode=mode))
+        mine = evaluate_with_gradient(ss, config).total_loss
+        assert np.isfinite(mine)
+        assert brute_force_loss(ss, config).total_loss == mine
+
+
+# grid levels sit on ramp kinks and the threshold; a spread of 0.25 takes lambda = 1e3 deep into the tails
+score_levels = st.sampled_from([-2.0, -0.5, -0.25, 0.0, 0.25, 0.5, 2.0]) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def tied_score_sets(draw):
+    """Up to 12 scores on at most 3 levels around an offset up to 1e6, with any label mix."""
+    n = draw(st.integers(1, 12))
+    offset = draw(st.floats(-1e6, 1e6))
+    levels = draw(st.lists(score_levels, min_size=2, max_size=3))
+    scores = [offset + level for level in draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))]
+    labels = draw(
+        st.one_of(
+            st.lists(st.sampled_from([1, 0, -1]), min_size=n, max_size=n),
+            st.sampled_from([1, 0, -1]).map(lambda label: [label] * n),
+        )
+    )
+    return make_set(scores, labels)
+
+
+# lambda from 1e-3 to 1e3, log-uniform, with the two ends drawn often
+lambdas = st.sampled_from([1e-3, 1e3]) | st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def property_configs(draw):
+    return LossConfig(
+        distance=DistanceSpec(kind=draw(st.sampled_from(list(DistanceKind))), lam=draw(lambdas)),
+        pair_filter=FilterSpec(
+            mode=draw(st.sampled_from(list(FilterMode))),
+            threshold=draw(st.sampled_from([0.0, 0.25])),
+            filter_numerator=draw(st.booleans()),
+        ),
+        budget=PairBudget(draw(st.sampled_from([None, 1, 3]))),
+    )
+
+
+class TestBruteForceProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(ss=tied_score_sets(), config=property_configs())
+    def test_loss_and_gradient_match_at_1e12(self, ss, config):
+        mine = evaluate_loss(ss, config)
+        ref = brute_force_loss(ss, config)
+        assert ref.total_loss == pytest.approx(mine.total_loss, rel=1e-12, abs=1e-300)
+        assert ref.per_anchor_loss.keys() == mine.per_anchor_loss.keys()
+        for u, loss in mine.per_anchor_loss.items():
+            assert ref.per_anchor_loss[u] == pytest.approx(loss, rel=1e-12, abs=1e-300)
+        if config.distance.is_smooth:
+            grad = gradient_error_driven(ss, config).gradient
+            np.testing.assert_allclose(ref.gradient, grad, rtol=1e-12, atol=1e-300)
 
 
 class TestFiniteDifferences:

@@ -73,6 +73,12 @@ class TestGenerateScores:
         np.testing.assert_array_equal(a.scores, b.scores)
         np.testing.assert_array_equal(a.labels, b.labels)
 
+    @pytest.mark.parametrize(("n_pos", "n_neg"), [(10**15, 0), (1, 10**15), (10**19, 10**19)])
+    def test_sizes_beyond_memory_are_validation_errors(self, n_pos, n_neg):
+        # numpy refuses these sizes before allocating anything
+        with pytest.raises(ValidationError, match=rf"^n_pos \+ n_neg = {n_pos + n_neg} "):
+            generate_scores(GeneratorSpec(n_pos=n_pos, n_neg=n_neg))
+
     def test_different_seed_differs(self):
         a = generate_scores(GeneratorSpec(seed=1))
         b = generate_scores(GeneratorSpec(seed=2))
@@ -195,10 +201,10 @@ class TestSimulateTraining:
                 assert cur.ranking_ap >= prev.ranking_ap - 0.02
 
     def test_divergence_guard(self):
-        # a spread wide enough that the cross-entropy term overflows to inf
-        blown = make_set([-8e307, 8e307], [1, 0])
-        with pytest.raises(DivergenceError):
-            descend_scores(blown, CE8, 1, 0.1)
+        # scores near the largest double: one step of lr=1e308 pushes the positive past it
+        blown = make_set([1.7e308, 1.75e308], [1, 0])
+        with pytest.raises(DivergenceError, match="scores became non-finite at step 1"):
+            descend_scores(blown, CE8, 1, 1e308)
 
     def test_divergence_names_step_index_and_value(self):
         # sum reduction: three anchors each push the lone negative (index 2) by about 1,
