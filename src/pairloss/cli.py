@@ -73,10 +73,8 @@ class Kind:
 
 def _parse_q(text: str):
     """The --q flag and Q sweep values: an integer, or 'unlimited'."""
-    if text.strip().lower() in {"unlimited", "none"}:
-        return None
     try:
-        return int(text)
+        return None if text == "unlimited" else int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"q must be an integer or 'unlimited', got {text!r}") from None
 
@@ -88,7 +86,6 @@ def _choice(enum: type[Enum]) -> Kind:
 
 # JSON values are exactly int, float, str, bool, None, list or dict, so `type(v) is int` excludes true and false
 NUMBER = Kind({"type": float}, "a number", lambda value: type(value) in (int, float))
-NUMBER_OR_NULL = Kind({"type": float}, "a number or null", lambda value: value is None or NUMBER.accepts(value))
 INTEGER = Kind({"type": int}, "an integer", lambda value: type(value) is int)
 SWITCH = Kind({"action": argparse.BooleanOptionalAction}, "true or false", lambda value: type(value) is bool)
 BUDGET = Kind(
@@ -123,8 +120,7 @@ SETTINGS = {
     for s in (
         Setting("distance", DistanceSpec, "kind", _choice(DistanceKind), "distance function"),
         Setting("lambda", DistanceSpec, "lam", NUMBER, "sigmoid steepness"),
-        Setting("delta", DistanceSpec, "delta", NUMBER, "step ramp half-width"),
-        Setting("rank_delta", LossConfig, "rank_delta", NUMBER_OR_NULL, "ramp half-width for smoothed ranks"),
+        Setting("delta", DistanceSpec, "delta", NUMBER, "ramp half-width of the step distance and the smoothed ranks"),
         Setting("threshold", FilterSpec, "threshold", NUMBER, "valid-pair score margin"),
         Setting("filter_numerator", FilterSpec, "filter_numerator", SWITCH, "negcount: sum only valid pairs"),
         Setting("q", PairBudget, "q", BUDGET, "pair budget (integer or 'unlimited')"),
@@ -147,12 +143,12 @@ SETTINGS = {
 }
 
 
-# each sweep parameter: the SETTINGS keys its value fills, and the settings it fixes
+# each sweep parameter: the SETTINGS key its value fills, and the settings it fixes
 SWEEPS = {
-    "lambda": (("lambda",), {}),
-    "delta": (("delta", "rank_delta"), {}),
-    "T": (("threshold",), {"mode": FilterMode.VALID_NEG_COUNT.value}),
-    "Q": (("q",), {}),
+    "lambda": ("lambda", {}),
+    "delta": ("delta", {}),
+    "T": ("threshold", {"mode": FilterMode.VALID_NEG_COUNT.value}),
+    "Q": ("q", {}),
 }
 
 
@@ -193,7 +189,7 @@ def keywords(given: dict, target) -> dict:
 
 
 def loss_config(given: dict) -> LossConfig:
-    """Build only the parts the settings name; the rest keep LossConfig's defaults (its budget is not PairBudget())."""
+    """Build only the parts the settings name; the rest keep LossConfig's defaults."""
     parts = {
         name: part(**kw)
         for name, part in (("distance", DistanceSpec), ("pair_filter", FilterSpec), ("budget", PairBudget))
@@ -275,12 +271,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     parameter = {name.lower(): name for name in SWEEPS}.get(args.parameter.lower())
     if parameter is None:
         raise ValidationError(f"unknown sweep parameter {args.parameter!r}, expected one of {list(SWEEPS)}")
-    fills, fixed = SWEEPS[parameter]
+    key, fixed = SWEEPS[parameter]
     parts = [p.strip() for p in args.values.split(",") if p.strip()]
     if not parts:
         raise ValidationError("sweep needs at least one value")
     try:
-        values = [SETTINGS[fills[0]].kind.flag["type"](p) for p in parts]
+        values = [SETTINGS[key].kind.flag["type"](p) for p in parts]
     except ValueError:
         raise ValidationError(f"sweep values for {parameter} must be numbers, got {args.values!r}") from None
     if args.scores:
@@ -290,7 +286,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     descent = {**DESCENT_DEFAULTS, **keywords(given, descend_scores)}
     rows = []
     for value in values:
-        config = loss_config({**given, **fixed, **dict.fromkeys(fills, value)})
+        config = loss_config({**given, **fixed, key: value})
         trajectory = descend_scores(initial, config, **descent)
         first, last = trajectory.records[0], trajectory.records[-1]
         rows.append(
@@ -418,7 +414,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (ValueError, argparse.ArgumentTypeError) as exc:  # the latter from _parse_q on sweep values
-        print(f"validation error: {exc}", file=sys.stderr)
+        # a message that starts with a library field names the setting that fills it
+        field, space, rest = str(exc).partition(" ")
+        keys = {s.field: s.key for s in SETTINGS.values()}
+        print(f"validation error: {keys.get(field, field)}{space}{rest}", file=sys.stderr)
         return EXIT_VALIDATION_ERROR
 
 

@@ -44,6 +44,7 @@ from .distance import (
 from .ranking import (
     RankStats,
     compute_ranks,
+    overflow_error,
     row_blocks,
     select_top_q_negatives,
     valid_negative_count,
@@ -203,7 +204,7 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
 
     n_neg = valid_negative_count(score_set, pos, threshold)
     if config.pair_filter.mode is FilterMode.RANK_SUM:
-        rank_plus, rank_minus = compute_ranks(score_set, pos, config.rank_delta)
+        rank_plus, rank_minus = compute_ranks(score_set, pos, config.distance.delta)
         bc = rank_plus + rank_minus
     else:
         rank_plus, rank_minus = np.ones(pos.size), n_neg.astype(np.float64)
@@ -228,10 +229,13 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
             pair_diffs, pair_negs = diffs.ravel(), np.tile(sel, at.size)
         active[at] = counts
         b = bc[at]
+        try:
+            values = ce_distance(pair_diffs, lam) if want_grad else distance_value(pair_diffs, config.distance)
+        except ValidationError:
+            raise overflow_error(np.repeat(anchors, counts)[~np.isfinite(pair_diffs)][0]) from None
+        loss[at] = _row_sums(values, counts, anchors) / b
         if not want_grad:
-            loss[at] = _row_sums(distance_value(pair_diffs, config.distance), counts, anchors) / b
             continue
-        loss[at] = _row_sums(ce_distance(pair_diffs, lam), counts, anchors) / b
         # anchors add onto 0.0, so an anchor without pair mass reads +0.0, never -0.0;
         # np.add.at adds pairs one by one in row order, so each negative sums in anchor order
         if form == GradientForm.ERROR_DRIVEN.value:

@@ -115,10 +115,10 @@ def _bf_balance(
         rank_plus = 1.0
         for p in pos:
             if p != u:
-                rank_plus += _bf_ramp(scores[p] - s_u, config.rank_delta)
+                rank_plus += _bf_ramp(scores[p] - s_u, config.distance.delta)
         rank_minus = 0.0
         for v in neg:
-            rank_minus += _bf_ramp(scores[v] - s_u, config.rank_delta)
+            rank_minus += _bf_ramp(scores[v] - s_u, config.distance.delta)
         return rank_plus + rank_minus
     count = 0
     for v in neg:

@@ -59,6 +59,11 @@ def _check_anchors(score_set: ScoreSet, u) -> tuple[np.ndarray, bool]:
     return anchors, scalar
 
 
+def overflow_error(anchor) -> ValidationError:
+    """The error for finite scores whose difference from anchor's score overflows a double."""
+    return ValidationError(f"a score difference of anchor {anchor} overflows a double; score differences must be finite")
+
+
 def compute_ranks(score_set: ScoreSet, u, rank_delta: float = 0.5):
     """Smoothed (rank+, rank-) of positive anchor u.
 
@@ -82,9 +87,14 @@ def compute_ranks(score_set: ScoreSet, u, rank_delta: float = 0.5):
     with np.errstate(over="ignore"):
         for rows in row_blocks(anchors.size, pos.size + neg_scores.size):
             s_u = scores[anchors[rows], None]
-            other_pos = pos[others + (others >= own[rows])]
-            ranks[0, rows] = 1.0 + np.sum(step_distance(scores[other_pos] - s_u, rank_delta), axis=1)
-            ranks[1, rows] = np.sum(step_distance(neg_scores - s_u, rank_delta), axis=1)
+            pos_diffs = scores[pos[others + (others >= own[rows])]] - s_u
+            neg_diffs = neg_scores - s_u
+            try:
+                ranks[0, rows] = 1.0 + np.sum(step_distance(pos_diffs, rank_delta), axis=1)
+                ranks[1, rows] = np.sum(step_distance(neg_diffs, rank_delta), axis=1)
+            except ValidationError:
+                finite = np.isfinite(pos_diffs).all(axis=1) & np.isfinite(neg_diffs).all(axis=1)
+                raise overflow_error(anchors[rows][~finite][0]) from None
     return tuple(ranks[:, 0].tolist()) if scalar else tuple(ranks)
 
 
@@ -142,7 +152,7 @@ def balance_constant(score_set: ScoreSet, u: int, config: LossConfig) -> float |
     yields None when no negative clears the threshold.
     """
     if config.pair_filter.mode is FilterMode.RANK_SUM:
-        rank_plus, rank_minus = compute_ranks(score_set, u, config.rank_delta)
+        rank_plus, rank_minus = compute_ranks(score_set, u, config.distance.delta)
         return rank_plus + rank_minus
     n = valid_negative_count(score_set, u, config.pair_filter.threshold)
     return float(n) if n > 0 else None

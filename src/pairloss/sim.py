@@ -147,8 +147,8 @@ def ranking_ap(score_set: ScoreSet) -> float:
     n_pos = int(np.count_nonzero(labels == Label.POSITIVE))
     if n_pos == 0:
         raise UndefinedMetricError("ranking AP needs at least one positive")
-    # lexsort: last key is primary, so -scores first, original order for ties
-    order = np.lexsort((np.arange(labels.size), -scores))
+    # stable sort on negated scores: equal scores keep ascending index order
+    order = np.argsort(-scores, kind="stable")
     hits = (labels[order] == Label.POSITIVE).astype(np.float64)
     cum_hits = np.cumsum(hits)
     ranks = np.flatnonzero(hits) + 1

@@ -145,11 +145,11 @@ class ScoreSet:
 
 @dataclass(frozen=True)
 class DistanceSpec:
-    """Distance function selection plus its parameter.
+    """Distance function selection plus its parameters.
 
-    delta is the ramp half-width (step kind), lam the sigmoid steepness
-    (sigmoid / ce-sigmoid kinds). Only the parameter the kind actually uses
-    is validated.
+    delta is the ramp half-width: the step distance's ramp and, under every
+    kind, the ramp of the smoothed ranks, so it is always validated. lam is
+    the sigmoid steepness and is validated only for the smooth kinds.
     """
 
     kind: DistanceKind = DistanceKind.CE_SIGMOID
@@ -161,12 +161,10 @@ class DistanceSpec:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "delta", to_float("delta", self.delta))
         object.__setattr__(self, "lam", to_float("lam", self.lam))
-        if kind is DistanceKind.STEP:
-            if not (math.isfinite(self.delta) and self.delta > 0):
-                raise ValidationError(f"delta must be > 0 for step distance, got {self.delta!r}")
-        else:
-            if not (math.isfinite(self.lam) and self.lam > 0):
-                raise ValidationError(f"lam must be > 0 for {kind.value} distance, got {self.lam!r}")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValidationError(f"delta must be > 0, got {self.delta!r}")
+        if self.is_smooth and not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValidationError(f"lam must be > 0 for {kind.value} distance, got {self.lam!r}")
 
     @property
     def is_smooth(self) -> bool:
@@ -201,11 +199,12 @@ class FilterSpec:
 class PairBudget:
     """Cap on how many negatives an anchor may be paired with.
 
-    q=None means unlimited. A bounded budget keeps the top q negatives by
-    score (ties broken by ascending index), shared by all anchors.
+    q defaults to 100 000; q=None means unlimited. A bounded budget keeps
+    the top q negatives by score (ties broken by ascending index), shared by
+    all anchors.
     """
 
-    q: int | None = None
+    q: int | None = 100_000
 
     def __post_init__(self) -> None:
         if self.q is None:
@@ -227,19 +226,13 @@ class PairBudget:
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Full configuration of one loss evaluation.
-
-    rank_delta is the ramp half-width used for the smoothed rank counts in
-    ranksum mode. When left as None it is resolved to the distance delta for
-    the step kind and to 0.5 otherwise.
-    """
+    """Full configuration of one loss evaluation."""
 
     distance: DistanceSpec = field(default_factory=DistanceSpec)
     pair_filter: FilterSpec = field(default_factory=FilterSpec)
-    budget: PairBudget = field(default_factory=lambda: PairBudget(q=100_000))
+    budget: PairBudget = field(default_factory=PairBudget)
     gradient_form: GradientForm = GradientForm.ERROR_DRIVEN
     reduction: Reduction = Reduction.MEAN_OVER_POSITIVES
-    rank_delta: float | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.distance, DistanceSpec):
@@ -250,13 +243,6 @@ class LossConfig:
             raise ValidationError("budget must be a PairBudget")
         object.__setattr__(self, "gradient_form", GradientForm(self.gradient_form))
         object.__setattr__(self, "reduction", Reduction(self.reduction))
-        if self.rank_delta is None:
-            resolved = self.distance.delta if self.distance.kind is DistanceKind.STEP else 0.5
-        else:
-            resolved = to_float("rank_delta", self.rank_delta)
-        if not (math.isfinite(resolved) and resolved > 0):
-            raise ValidationError(f"rank_delta must be > 0, got {resolved!r}")
-        object.__setattr__(self, "rank_delta", resolved)
         if self.gradient_form is GradientForm.AUTODIFF_CE and self.distance.kind is not DistanceKind.CE_SIGMOID:
             raise ValidationError(
                 "gradient form autodiff-ce requires the ce-sigmoid distance, "

@@ -141,7 +141,9 @@ class TestEval:
             [sys.executable, "-m", "pairloss.cli", "eval", path], capture_output=True, text=True, env=env
         )
         assert run.returncode == 3
-        assert run.stderr == "validation error: x must be finite\n"
+        assert run.stderr == (
+            "validation error: a score difference of anchor 0 overflows a double; score differences must be finite\n"
+        )
 
 
 class TestGradcheck:
@@ -262,7 +264,7 @@ class TestSweepMatchesTheLibrary:
     FAST = ["--n-pos", "10", "--n-neg", "60", "--steps", "3"]
     GRIDS = {
         "lambda": ([2.0, 4.0, 8.0, 16.0], lambda lam: LossConfig(distance=DistanceSpec(lam=lam))),
-        "delta": ([1.0, 0.5, 0.25, 0.125], lambda d: LossConfig(distance=DistanceSpec(delta=d), rank_delta=d)),
+        "delta": ([1.0, 0.5, 0.25, 0.125], lambda d: LossConfig(distance=DistanceSpec(delta=d))),
         "T": ([0.0, 0.2, 0.25, 0.3, 0.5], lambda t: LossConfig(pair_filter=FilterSpec(mode="negcount", threshold=t))),
         "Q": ([10, 100, 1000, None], lambda q: LossConfig(budget=PairBudget(q))),
     }
@@ -297,6 +299,47 @@ class TestSweepMatchesTheLibrary:
         assert report["records"] == round_floats([asdict(r) for r in trajectory.records])
         assert report["final_loss"] == round_floats(trajectory.final_loss)
         assert report["final_ap"] == round_floats(trajectory.final_ap)
+
+
+class TestOneDelta:
+    """--delta is the one ramp half-width: the step distance's and, under every distance, the smoothed ranks'."""
+
+    @pytest.fixture
+    def set_10_60(self, tmp_path):
+        path = str(tmp_path / "g1060.csv")
+        write_score_file(path, generate_scores(GeneratorSpec(n_pos=10, n_neg=60)))
+        return path
+
+    @pytest.mark.parametrize("delta", ["0.25", "1.0"])
+    def test_eval_matches_the_first_row_of_the_delta_sweep(self, capsys, set_10_60, delta):
+        report = run_json(capsys, ["eval", set_10_60, "--delta", delta])
+        sweep = run_json(capsys, ["sweep", set_10_60, "--parameter", "delta", "--values", delta, "--steps", "1"])
+        assert report["total_loss"] == sweep["rows"][0]["initial_loss"]
+        assert report["total_loss"] != run_json(capsys, ["eval", set_10_60])["total_loss"]
+
+    @pytest.mark.parametrize("delta", ["0.25", "1.0"])
+    def test_step_eval_ranks_with_the_same_delta(self, capsys, set_10_60, delta):
+        # descent needs a gradient, so a sweep cannot run the step distance; its ranks are the ce-sigmoid run's
+        smooth = run_json(capsys, ["eval", set_10_60, "--delta", delta])
+        step = run_json(capsys, ["eval", set_10_60, "--distance", "step", "--delta", delta])
+        columns = ("rank_plus", "rank_minus", "balance_constant")
+        assert [[row[c] for c in columns] for row in step["per_anchor"]] == [
+            [row[c] for c in columns] for row in smooth["per_anchor"]
+        ]
+        config = LossConfig(distance=DistanceSpec(kind="step", delta=float(delta)))
+        assert step["total_loss"] == round_floats(evaluate_loss(read_score_file(set_10_60), config).total_loss)
+
+    def test_rank_delta_config_key_exits_3(self, capsys, tmp_path, equal_pair):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"rank_delta": 0.25}), encoding="utf-8")
+        assert main(["eval", equal_pair, "--config", str(path)]) == 3
+        assert "unknown keys ['rank_delta']" in capsys.readouterr().err
+
+    def test_rank_delta_flag_exits_2(self, capsys, equal_pair):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", equal_pair, "--rank-delta", "0.25"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
 
 class TestCurve:
@@ -383,6 +426,13 @@ class TestArgparseSurface:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("text", ["none", "Unlimited", "UNLIMITED"])
+    def test_q_is_an_integer_or_unlimited_as_written(self, equal_pair, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", equal_pair, "--q", text])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
 
 # (config key, config-file value, flag arguments): every row of the settings table, each
 # at a value other than its default, plus the alternative spellings a key accepts
@@ -391,7 +441,7 @@ SETTING_SAMPLES = [
     ("lambda", 4.0, ["4"]),
     ("lambda", 4, ["4"]),
     ("delta", 0.25, ["0.25"]),
-    ("rank_delta", 0.125, ["0.125"]),
+    ("delta", 1, ["1"]),
     ("threshold", 0.1, ["0.1"]),
     ("filter_numerator", False, None),
     ("q", 7, ["7"]),
@@ -503,7 +553,21 @@ class TestConfigTypes:
         path = tmp_path / "config.json"
         path.write_text('{"lambda": 1' + "0" * 400 + "}", encoding="utf-8")
         assert main(["eval", equal_pair, "--config", str(path)]) == 3
-        assert capsys.readouterr().err == "validation error: lam is too large for a double\n"
+        assert capsys.readouterr().err == "validation error: lambda is too large for a double\n"
+
+    @pytest.mark.parametrize(
+        ("payload", "message"),
+        [
+            ({"lambda": 0}, "lambda must be > 0 for ce-sigmoid distance, got 0.0"),
+            ({"lr": 10**400, "n_pos": 2, "n_neg": 3, "steps": 1}, "lr is too large for a double"),
+            ({"delta": -1}, "delta must be > 0, got -1.0"),
+        ],
+    )
+    def test_messages_name_the_setting(self, capsys, tmp_path, payload, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 class TestLossDistance:

@@ -251,6 +251,11 @@ class TestBudget:
             assert bounded.total_loss == unlimited.total_loss
             assert not bounded.truncated
 
+    def test_default_budget_is_the_library_default(self):
+        assert PairBudget() == LossConfig().budget == PairBudget(100_000)
+        assert PairBudget(None) == PairBudget.unlimited()
+        assert not PairBudget(None).bounded
+
     def test_truncated_flag(self):
         ss = make_set([0.4, 0.5, 0.6, 0.7], [1, 0, 0, 0])
         assert evaluate_loss(ss, LossConfig(budget=PairBudget(2))).truncated
@@ -425,6 +430,22 @@ class TestOverflow:
                     fn(ss, config)
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        ("config", "anchor"),
+        [
+            (CE8, 0),  # the ranks overflow first, on anchor 0's positive row
+            (NEGCOUNT, 2),  # anchor 0's -inf pair is not valid, so the kept inf of anchor 2 is the one
+            (LossConfig(pair_filter=FilterSpec(mode="negcount", filter_numerator=False)), 0),
+        ],
+    )
+    def test_overflowing_score_difference_names_its_anchor(self, config, anchor):
+        ss = make_set([1e308, -1e308, -1e308, 1.5e308], [1, 0, 1, 0])
+        message = f"^a score difference of anchor {anchor} overflows a double; score differences must be finite$"
+        for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce):
+            with pytest.raises(ValidationError, match=message):
+                fn(ss, config)
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_differences_of_a_perfect_ranking_cost_nothing_under_negcount(self):
         ss = make_set([1e308, -1e308], [1, 0])
         for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce):
@@ -462,6 +483,12 @@ class TestArgumentErrors:
                 distance=DistanceSpec(kind=DistanceKind.STEP, delta=0.5),
                 gradient_form=GradientForm.AUTODIFF_CE,
             )
+
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    @pytest.mark.parametrize("delta", [0, -0.5, float("inf"), float("nan")])
+    def test_delta_is_validated_under_every_kind(self, kind, delta):
+        with pytest.raises(ValidationError, match="^delta must be > 0"):
+            DistanceSpec(kind=kind, delta=delta)
 
     def test_forward_allows_step_distance(self):
         config = LossConfig(distance=DistanceSpec(kind=DistanceKind.STEP, delta=0.5))

@@ -15,6 +15,7 @@ from pairloss import (
     PairBudget,
     ValidationError,
     brute_force_loss,
+    compute_ranks,
     evaluate_loss,
     evaluate_with_gradient,
     finite_difference_gradient,
@@ -52,6 +53,22 @@ class TestBruteForce:
                 if config.distance.is_smooth:
                     grad = gradient_error_driven(ss, config).gradient
                     np.testing.assert_allclose(ref.gradient, grad, rtol=1e-12, atol=1e-300)
+
+    @pytest.mark.parametrize("kind", [DistanceKind.SIGMOID, DistanceKind.CE_SIGMOID])
+    @pytest.mark.parametrize("delta", [0.25, 1.0])
+    def test_delta_smooths_the_ranks_of_smooth_distances(self, kind, delta):
+        rng = np.random.default_rng(43)
+        config = LossConfig(distance=DistanceSpec(kind=kind, delta=delta))
+        for _ in range(4):
+            ss = random_score_set(rng, int(rng.integers(10, 60)))
+            mine = evaluate_loss(ss, config)
+            ref = brute_force_loss(ss, config)
+            assert ref.total_loss == pytest.approx(mine.total_loss, rel=1e-12, abs=1e-300)
+            grad = gradient_error_driven(ss, config).gradient
+            np.testing.assert_allclose(ref.gradient, grad, rtol=1e-12, atol=1e-300)
+            for s in mine.stats:
+                plus, minus = compute_ranks(ss, s.anchor_index, delta)
+                assert (s.rank_plus, s.rank_minus) == (plus, minus)
 
     def test_no_gradient_for_step_distance(self):
         config = LossConfig(distance=DistanceSpec(kind=DistanceKind.STEP, delta=0.5))

@@ -52,7 +52,7 @@ class TestIntegersTooLargeForADouble:
         [
             (lambda: DistanceSpec(lam=10**400), "lam"),
             (lambda: FilterSpec(threshold=10**400), "threshold"),
-            (lambda: LossConfig(rank_delta=10**400), "rank_delta"),
+            (lambda: DistanceSpec(delta=10**400), "delta"),
             (lambda: GeneratorSpec(pos_mean=10**400), "pos_mean"),
             (lambda: GeneratorSpec(clamp=(0, 10**400)), "clamp"),
             (lambda: descend_scores(make_set([0.5, 0.4], [1, 0]), CE8, 1, 10**400), "learning_rate"),
