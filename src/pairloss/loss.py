@@ -6,8 +6,8 @@ Per positive anchor u the loss is
 
 where D is the configured distance and BC(u) the balance constant, which is
 treated as a constant under differentiation. The pair set is the global
-top-q negative selection, optionally restricted to valid errors (negcount
-mode with filter_numerator).
+top-q negative selection; negcount mode with filter_numerator keeps only its
+first n_neg negatives by descending score, which are the anchor's valid errors.
 
 Two gradient derivations are exposed as genuinely separate code paths:
 
@@ -20,7 +20,7 @@ They are the same function in exact arithmetic; keeping both runnable is what
 makes the equivalence testable. Either gradient call reports cross-entropy loss values
 alongside the gradient.
 
-Anchors are evaluated in row blocks of at most ranking.BLOCK_DOUBLES doubles.
+Anchors are evaluated in row blocks of at most ranking.BLOCK_DOUBLES kept pairs.
 Per-anchor pair sums are exactly rounded, equal to math.fsum bit for bit and
 independent of pair order: a compensated TwoSum tree sums a whole block and
 certifies each row's rounding, and the rows it cannot certify (exact
@@ -181,7 +181,7 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
     if not isinstance(config, LossConfig):
         raise ValidationError("config must be a LossConfig")
     if form == GradientForm.ERROR_DRIVEN.value and not config.distance.is_smooth:
-        raise ValidationError("error-driven gradient needs a sigmoid or ce-sigmoid distance")
+        raise ValidationError(f"gradients need a sigmoid or ce-sigmoid distance, got {config.distance.kind.value}")
     if form == GradientForm.AUTODIFF_CE.value and config.distance.kind is not DistanceKind.CE_SIGMOID:
         raise ValidationError("autodiff-ce gradient needs the ce-sigmoid distance")
 
@@ -191,18 +191,16 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
     neg = score_set.negative_indices
     n = len(score_set)
     sel = select_top_q_negatives(score_set, config.budget)
-    sel_scores = scores[sel]
     truncated = config.budget.bounded and neg.size > config.budget.q
 
     if pos.size == 0:
         grad = np.zeros(n) if want_grad else None
         return LossResult(0.0, {}, grad, [], truncated, no_anchors=True)
 
-    threshold = config.pair_filter.threshold
     restrict = config.pair_filter.mode is FilterMode.VALID_NEG_COUNT and config.pair_filter.filter_numerator
     lam = config.distance.lam
 
-    n_neg = valid_negative_count(score_set, pos, threshold)
+    n_neg = valid_negative_count(score_set, pos, config.pair_filter.threshold)
     if config.pair_filter.mode is FilterMode.RANK_SUM:
         rank_plus, rank_minus = compute_ranks(score_set, pos, config.distance.delta)
         bc = rank_plus + rank_minus
@@ -212,22 +210,25 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
     # ranksum constants are >= 1; a zero negcount constant skips its anchor
     live = np.flatnonzero(bc > 0)
 
-    loss = np.zeros(pos.size)
+    if restrict:
+        # an anchor's valid negatives are its n_neg highest-scoring ones, and sel is a score
+        # prefix too, so it keeps the first min(n_neg, |sel|) of sel by descending score
+        sel = sel[np.argsort(-scores[sel], kind="stable")]
+    sel_scores = scores[sel]
     active = np.zeros(pos.size, dtype=np.int64)
+    active[live] = np.minimum(n_neg[live], sel.size) if restrict else sel.size
+    loss = np.zeros(pos.size)
     grad = np.zeros(n) if want_grad else None
-    for rows in row_blocks(live.size, sel.size):
+    for rows in row_blocks(live.size, int(active.max(initial=0))):
         at = live[rows]
         anchors = pos[at]
+        counts = active[at]
         with np.errstate(over="ignore"):  # an overflowed difference fails the distance kernel's finiteness check
-            diffs = sel_scores - scores[anchors, None]
-        if restrict:
-            keep = diffs > threshold
-            counts = np.count_nonzero(keep, axis=1)
-            pair_diffs, pair_negs = diffs[keep], np.broadcast_to(sel, diffs.shape)[keep]
-        else:
-            counts = np.full(at.size, sel.size)
-            pair_diffs, pair_negs = diffs.ravel(), np.tile(sel, at.size)
-        active[at] = counts
+            if restrict:
+                prefix = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+                pair_diffs, pair_negs = sel_scores[prefix] - np.repeat(scores[anchors], counts), sel[prefix]
+            else:
+                pair_diffs, pair_negs = (sel_scores - scores[anchors, None]).ravel(), np.tile(sel, at.size)
         b = bc[at]
         try:
             values = ce_distance(pair_diffs, lam) if want_grad else distance_value(pair_diffs, config.distance)

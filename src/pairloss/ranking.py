@@ -109,20 +109,23 @@ def valid_pair_indicator(p_u: float, p_v: float, threshold: float = 0.25) -> int
 
 
 def valid_negative_count(score_set: ScoreSet, u, threshold: float = 0.25):
-    """Number of negatives forming a valid error pair with anchor u.
+    """Number of negatives t forming a valid error pair with anchor u: t - score[u] > threshold.
 
+    The rounded difference is monotone in t, so the valid negatives are the highest-scoring
+    ones, and a binary search of the sorted scores finds each anchor's count.
     An int u gives an int; an index array gives an int64 array, one count per anchor.
     """
     anchors, scalar = _check_anchors(score_set, u)
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValidationError(f"threshold must be >= 0, got {threshold!r}")
-    scores = score_set.scores
-    neg_scores = scores[score_set.negative_indices]
-    counts = np.empty(anchors.size, dtype=np.int64)
-    # a difference that overflows to +-inf still compares correctly with the threshold
+    s_u = score_set.scores[anchors]
+    neg_scores = np.sort(score_set.scores[score_set.negative_indices])
+    counts = np.zeros(anchors.size, dtype=np.int64)
+    # counts grow by powers of two while the predicate holds; an overflow to +-inf compares correctly
     with np.errstate(over="ignore"):
-        for rows in row_blocks(anchors.size, neg_scores.size):
-            counts[rows] = np.count_nonzero(neg_scores - scores[anchors[rows], None] > threshold, axis=1)
+        for bit in reversed(range(neg_scores.size.bit_length())):
+            wider = np.minimum(counts + (1 << bit), neg_scores.size)
+            counts = np.where(neg_scores[-wider] - s_u > threshold, wider, counts)
     return int(counts[0]) if scalar else counts
 
 

@@ -597,6 +597,15 @@ class TestLossDistance:
         report = run_json(capsys, [*command, "--distance", "sigmoid", "--n-pos", "3", "--n-neg", "5", "--steps", "1"])
         assert report["loss_distance"] == "ce-sigmoid"
 
+    def test_gradient_commands_reject_the_step_distance(self, capsys, set_5_20):
+        generated = ["--n-pos", "3", "--n-neg", "5", "--steps", "1"]
+        sweep = ["sweep", "--parameter", "lambda", "--values", "4", *generated]
+        for command in (sweep, ["simulate", *generated], ["gradcheck", set_5_20[0]]):
+            assert main([*command, "--distance", "step"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "validation error: gradients need a sigmoid or ce-sigmoid distance, got step\n"
+
 
 IMPORTED_PACKAGES = """
 import sys

@@ -340,6 +340,35 @@ class TestBlocking:
             pair_sum = math.fsum(ce_distance(neg_scores - ss.scores[s.anchor_index], 8.0).tolist())
             assert dense.per_anchor_loss[s.anchor_index] == pair_sum / s.balance_constant
 
+    def test_negcount_pairs_cut_at_the_budget(self, monkeypatch):
+        # quarter-point lattice scores: differences of exactly 0.25 tie with the threshold, and
+        # the third and fourth highest negative tie across the Q = 3 cut; the first set's
+        # anchors have 0, 0, 1, 2, 4, 5 and 6 valid negatives
+        rng = np.random.default_rng(36)
+        config = LossConfig(pair_filter=FilterSpec(mode=FilterMode.VALID_NEG_COUNT), budget=PairBudget(3))
+        order = rng.permutation(13)
+        crafted = np.array([1.5, 1.25, 1.0, 0.75, 0.5, 0.25, 0.0, 1.5, 1.25, 1.0, 1.0, 0.75, 0.5])
+        sets = [make_set(crafted[order], np.array([1] * 7 + [0] * 6)[order])] + [
+            make_set(rng.integers(0, 8, n) / 4.0, rng.permutation([1] * (n // 3) + [0] * (n - n // 3))) for n in (45, 90)
+        ]
+        default = [self._all_forms(ss, config) for ss in sets]
+        kept = set()
+        for ss in sets:
+            top = np.sort(ss.scores[ss.negative_indices])[::-1]
+            assert top[2] == top[3]
+            got = gradient_error_driven(ss, config)
+            assert [s.active_pairs for s in got.stats] == [min(s.n_neg, 3) for s in got.stats]
+            kept.update(s.active_pairs for s in got.stats)
+            expect = brute_force_loss(ss, config)
+            assert got.total_loss == pytest.approx(expect.total_loss, rel=1e-12)
+            for u, value in expect.per_anchor_loss.items():
+                assert got.per_anchor_loss[u] == pytest.approx(value, rel=1e-12, abs=1e-300)
+            np.testing.assert_allclose(got.gradient, expect.gradient, rtol=1e-12, atol=0.0)
+        assert kept == {0, 1, 2, 3}
+        monkeypatch.setattr(ranking, "BLOCK_DOUBLES", 40)
+        assert len(ranking.row_blocks(30, 3)) > 1
+        assert [self._all_forms(ss, config) for ss in sets] == default
+
 
 # magnitudes for same-sign rows: plain and subnormal doubles, values near 1e300, zeros, and
 # dyadic values whose exact sums are often representable or exact rounding midpoints

@@ -118,6 +118,42 @@ class TestValidNegativeCount:
                 counts = [valid_negative_count(ss, int(u), t) for t in thresholds]
                 assert counts == sorted(counts, reverse=True)
 
+    def test_rounded_difference_not_shifted_score(self):
+        # 1.1 - 1.0 rounds to 0.10000000000000009 > 0.1, although 1.1 > 1.0 + 0.1 is false,
+        # so a search for score[u] + threshold in the sorted scores would count 0 here
+        ss = make_set([1.0, 1.1], [1, 0])
+        assert valid_negative_count(ss, 0, 0.1) == 1
+        assert valid_negative_count(ss, np.array([0]), 0.1).tolist() == [1]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(0, 8).map(lambda k: k / 4.0),  # lattice: ties, and differences equal to 0.25
+                    st.integers(0, 30).map(lambda k: k / 10.0),  # differences an ulp off 0.1 and 0.3
+                    st.floats(-3.0, 3.0),
+                    st.sampled_from([1e308, -1e308]),  # differences overflow to +-inf
+                ),
+                st.sampled_from([1, 0, 0, -1]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        offset=st.sampled_from([0.0, 1e3, 1e6, -1e6]),
+        threshold=st.one_of(st.sampled_from([0.0, 0.1, 0.25, 0.3]), st.floats(0.0, 2.0)),
+    )
+    def test_equals_the_pairwise_predicate(self, points, offset, threshold):
+        labels = [1] + [label for _, label in points[1:]]
+        ss = make_set([score + offset for score, _ in points], labels)
+        neg_scores = ss.scores[ss.negative_indices]
+        with np.errstate(over="ignore"):
+            expect = [np.count_nonzero(neg_scores - ss.scores[u] > threshold) for u in ss.positive_indices]
+        counts = valid_negative_count(ss, ss.positive_indices, threshold)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == expect
+        assert [valid_negative_count(ss, int(u), threshold) for u in ss.positive_indices] == expect
+
 
 class TestSelectTopQ:
     def test_unbounded_returns_all(self):

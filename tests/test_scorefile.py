@@ -104,7 +104,8 @@ class TestWriteScoreFile:
         ss = make_set([0.5, 0.25], [1, 0])
         path = str(tmp_path / "out.csv")
         write_score_file(path, ss)
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
         assert text == "index,score,label\n0,0.5,1\n1,0.25,0\n"
 
 
