@@ -323,10 +323,14 @@ def cmd_curve(args: argparse.Namespace) -> int:
     samples = args.samples
     if samples < 2:
         raise ValidationError(f"samples must be >= 2, got {samples}")
-    if not (math.isfinite(args.x_min) and math.isfinite(args.x_max) and args.x_min < args.x_max):
-        raise ValidationError(f"need finite x_min < x_max, got [{args.x_min}, {args.x_max}]")
+    # a finite width needs finite ends, and linspace scales its steps by the width
+    if not (math.isfinite(args.x_max - args.x_min) and args.x_min < args.x_max):
+        raise ValidationError(f"need x_min < x_max with a finite width x_max - x_min, got [{args.x_min}, {args.x_max}]")
     spec = DistanceSpec(**{**keywords(given, DistanceSpec), "kind": kind})
-    xs = np.linspace(args.x_min, args.x_max, samples)
+    try:
+        xs = np.linspace(args.x_min, args.x_max, samples)
+    except (MemoryError, ValueError):  # numpy refuses sizes beyond memory or the address space
+        raise ValidationError(f"samples = {samples} points are too many to allocate") from None
     ys = distance_value(xs, spec)
     lines = [f"{format_float(float(x))} {format_float(float(y))}" for x, y in zip(xs, ys)]
     _emit("\n".join(lines) + "\n", args.out)

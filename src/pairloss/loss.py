@@ -6,8 +6,9 @@ Per positive anchor u the loss is
 
 where D is the configured distance and BC(u) the balance constant, which is
 treated as a constant under differentiation. The pair set is the global
-top-q negative selection; negcount mode with filter_numerator keeps only its
-first n_neg negatives by descending score, which are the anchor's valid errors.
+top-q negative selection, which comes in descending score order; negcount
+mode with filter_numerator keeps only its first n_neg negatives, which are
+the anchor's valid errors.
 
 Two gradient derivations are exposed as genuinely separate code paths:
 
@@ -188,10 +189,9 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
     want_grad = form != _FORWARD
     scores = score_set.scores
     pos = score_set.positive_indices
-    neg = score_set.negative_indices
     n = len(score_set)
     sel = select_top_q_negatives(score_set, config.budget)
-    truncated = config.budget.bounded and neg.size > config.budget.q
+    truncated = sel.size < score_set.negative_indices.size
 
     if pos.size == 0:
         grad = np.zeros(n) if want_grad else None
@@ -210,12 +210,9 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
     # ranksum constants are >= 1; a zero negcount constant skips its anchor
     live = np.flatnonzero(bc > 0)
 
-    if restrict:
-        # an anchor's valid negatives are its n_neg highest-scoring ones, and sel is a score
-        # prefix too, so it keeps the first min(n_neg, |sel|) of sel by descending score
-        sel = sel[np.argsort(-scores[sel], kind="stable")]
     sel_scores = scores[sel]
     active = np.zeros(pos.size, dtype=np.int64)
+    # an anchor's valid negatives are its n_neg highest-scoring ones, so a restricted row is a prefix of sel
     active[live] = np.minimum(n_neg[live], sel.size) if restrict else sel.size
     loss = np.zeros(pos.size)
     grad = np.zeros(n) if want_grad else None

@@ -130,22 +130,18 @@ def valid_negative_count(score_set: ScoreSet, u, threshold: float = 0.25):
 
 
 def select_top_q_negatives(score_set: ScoreSet, budget: PairBudget) -> np.ndarray:
-    """Indices of the q highest-scoring negatives, ascending index order.
+    """Indices of the q highest-scoring negatives, by descending score.
 
-    Ties on score are broken by ascending original index; an unlimited or
-    non-binding budget returns every negative. The same selection serves
-    every anchor.
+    Ties on score are broken by ascending original index, so every selection
+    is a prefix of the next larger one; an unlimited or non-binding budget
+    returns every negative in that order. The same selection serves every
+    anchor.
     """
     if not isinstance(budget, PairBudget):
         raise ValidationError("budget must be a PairBudget")
     neg = score_set.negative_indices
-    if not budget.bounded or neg.size <= budget.q:
-        return neg
     # stable sort on negated scores: equal scores keep ascending index order
-    order = np.argsort(-score_set.scores[neg], kind="stable")
-    kept = neg[order[: budget.q]]
-    kept.sort()
-    return kept
+    return neg[np.argsort(-score_set.scores[neg], kind="stable")[: budget.q]]
 
 
 def balance_constant(score_set: ScoreSet, u: int, config: LossConfig) -> float | None:

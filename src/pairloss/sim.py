@@ -165,8 +165,10 @@ def simulate_training(
     """Run `steps` gradient-descent updates on a freshly generated score set.
 
     Records metrics before the first update and after each one. Aborts with
-    DivergenceError if the loss or the scores stop being finite. A zero
-    learning rate is allowed and yields a flat trajectory.
+    DivergenceError if the loss or the scores stop being finite, or if an
+    update leaves scores the loss rejects; a ValidationError from the
+    initial scores is a bad input and propagates as it is. A zero learning
+    rate is allowed and yields a flat trajectory.
     """
     if spec.n_pos < 1:
         raise ValidationError("simulation needs at least one positive")
@@ -193,7 +195,12 @@ def descend_scores(
     current = score_set
     records: list[TrajectoryRecord] = []
     for step in range(steps + 1):
-        result: LossResult = evaluate_with_gradient(current, config)
+        try:
+            result: LossResult = evaluate_with_gradient(current, config)
+        except ValidationError as exc:
+            if step == 0:
+                raise
+            raise DivergenceError(f"loss evaluation failed at step {step}: {exc}") from exc
         if not math.isfinite(result.total_loss):
             raise DivergenceError(f"total loss became non-finite at step {step}")
         records.append(

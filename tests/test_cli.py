@@ -253,6 +253,14 @@ class TestSweep:
         assert row["initial_loss"] == pytest.approx(EQUAL_PAIR_LOSS, rel=1e-12)
         assert row["final_loss"] == row["initial_loss"]
 
+    def test_overflow_after_an_update_is_a_run_failure(self, capsys, tmp_path):
+        path = score_file(tmp_path, [1e308] * 20 + [1.01e308], [1] * 20 + [0])
+        argv = ["sweep", path, "--parameter", "lambda", "--values", "8", "--lr", "1e308", "--steps", "3", "--reduction", "sum"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("run failed: loss evaluation failed at step 1: a score difference")
+        assert captured.out == ""
+
     def test_unknown_parameter_rejected(self, capsys):
         assert main(["sweep", "--parameter", "gamma", "--values", "1", *self.FAST]) == 3
         assert "unknown sweep parameter" in capsys.readouterr().err
@@ -368,6 +376,21 @@ class TestCurve:
     def test_single_sample_rejected(self, capsys):
         assert main(["curve", "--function", "S", "--samples", "1"]) == 3
         capsys.readouterr()
+
+    def test_sample_count_beyond_memory_exits_3(self, capsys):
+        # numpy refuses 10**15 doubles before allocating anything
+        assert main(["curve", "--function", "S", "--samples", str(10**15)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"validation error: samples = {10**15} points are too many to allocate\n"
+        assert captured.out == ""
+
+    def test_range_whose_width_overflows_exits_3(self, capsys):
+        assert main(["curve", "--function", "S", "--x-min=-1.7e308", "--x-max=1.7e308"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "validation error: need x_min < x_max with a finite width x_max - x_min, got [-1.7e+308, 1.7e+308]\n"
+        )
+        assert captured.out == ""
 
     def test_unknown_function_rejected(self, capsys):
         assert main(["curve", "--function", "tanh"]) == 3

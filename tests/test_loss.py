@@ -322,6 +322,26 @@ class TestBlocking:
         assert len(ranking.row_blocks(10, 20)) == 5
         assert [self._all_forms(ss, config) for ss in sets for config in configs] == default
 
+    def test_results_independent_of_pair_order(self, monkeypatch):
+        # every row is the selection reversed; on the lattice sets the third and fourth
+        # highest negatives tie across the Q = 3 cut
+        rng = np.random.default_rng(37)
+        lattice = [
+            make_set(rng.integers(0, 8, n) / 4.0, rng.permutation([1] * (n // 3) + [0] * (n - n // 3))) for n in (45, 90)
+        ]
+        for ss in lattice:
+            top = np.sort(ss.scores[ss.negative_indices])[::-1]
+            assert top[2] == top[3]
+        sets = lattice + [random_score_set(rng, 80)]
+        unfiltered = FilterSpec(mode=FilterMode.VALID_NEG_COUNT, filter_numerator=False)
+        configs = (CE8, LossConfig(budget=PairBudget(3)), LossConfig(pair_filter=unfiltered))
+        default = [self._all_forms(ss, config) for ss in sets for config in configs]
+        select = ranking.select_top_q_negatives
+        monkeypatch.setattr("pairloss.loss.select_top_q_negatives", lambda ss, budget: select(ss, budget)[::-1])
+        for block_doubles in (ranking.BLOCK_DOUBLES, 40):
+            monkeypatch.setattr(ranking, "BLOCK_DOUBLES", block_doubles)
+            assert [self._all_forms(ss, config) for ss in sets for config in configs] == default
+
     def test_multi_block_instance_matches_brute_force(self):
         ss = generate_scores(GeneratorSpec(seed=34, n_pos=150, n_neg=1800))
         assert len(ranking.row_blocks(150, 1800)) > 1

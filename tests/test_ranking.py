@@ -194,12 +194,21 @@ class TestSelectTopQ:
                 assert previous <= selected
                 previous = selected
 
+    def test_mixed_ties_keep_score_order_first(self):
+        scores = np.zeros(10)
+        labels = np.full(10, -1)
+        scores[[1, 4, 9]] = [0.5, 0.9, 0.5]
+        labels[[1, 4, 9]] = 0
+        ss = make_set(scores, labels)
+        assert select_top_q_negatives(ss, PairBudget(3)).tolist() == [4, 1, 9]
+
     def test_subset_of_negatives_and_sorted(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
             ss = random_score_set(rng, int(rng.integers(2, 50)))
             out = select_top_q_negatives(ss, PairBudget(3))
-            assert np.all(np.diff(out) > 0)
+            keys = [(-float(ss.scores[i]), int(i)) for i in out]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
             assert set(out.tolist()) <= set(ss.negative_indices.tolist())
 
 
@@ -307,5 +316,5 @@ class TestNaiveReference:
             ss = random_score_set(rng, int(rng.integers(2, 50)))
             q = int(rng.integers(1, 8))
             neg = [int(i) for i in ss.negative_indices]
-            expected = sorted(sorted(neg, key=lambda i: (-float(ss.scores[i]), i))[:q])
+            expected = sorted(neg, key=lambda i: (-float(ss.scores[i]), i))[:q]
             assert select_top_q_negatives(ss, PairBudget(q)).tolist() == expected

@@ -217,6 +217,23 @@ class TestSimulateTraining:
         assert "step 1" in message
         assert "index 2 is -inf" in message
 
+    def test_overflowing_difference_after_an_update_is_a_divergence(self):
+        # sum reduction: step 1 moves the positives to about 1.09e308 and the negative to
+        # about -7.3e307, all finite, but their difference overflows a double
+        ss = make_set([1e308] * 20 + [1.01e308], [1] * 20 + [0])
+        with pytest.raises(DivergenceError) as info:
+            descend_scores(ss, LossConfig(reduction="sum"), 3, 1e308)
+        assert str(info.value) == (
+            "loss evaluation failed at step 1: a score difference of anchor 0 overflows a double; "
+            "score differences must be finite"
+        )
+        assert isinstance(info.value.__cause__, ValidationError)
+
+    def test_overflowing_difference_at_step_0_is_a_bad_input(self):
+        ss = make_set([1e308, -1e308], [1, 0])
+        with pytest.raises(ValidationError, match="a score difference of anchor 0 overflows"):
+            descend_scores(ss, CE8, 3, 1.0)
+
     def test_numpy_integer_steps(self):
         ss = generate_scores(GeneratorSpec(seed=1, n_pos=2, n_neg=4))
         assert descend_scores(ss, CE8, np.int64(3), 1.0).records == descend_scores(ss, CE8, 3, 1.0).records
