@@ -6,8 +6,9 @@ takes the library's default. Reports go to stdout (or --out) as JSON with
 floats rounded to 15 significant digits; curve output is two-column text.
 
 Exit codes: 0 success, 1 check failed (gradcheck mismatch or diverged
-simulation), 2 parse error (bad file syntax), 3 validation error (legal
-syntax, illegal values).
+simulation), 2 parse error (bad file syntax, or a file that is not UTF-8),
+3 validation error (legal syntax, illegal values, or an --out path that
+cannot be written).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .distance import distance_value
 from .loss import LossResult, evaluate_loss, evaluate_with_gradient
 from .oracle import gradient_check
-from .scorefile import ScoreFileError, format_float, read_score_file, render_report
+from .scorefile import ScoreFileError, format_float, read_score_file, read_text, render_report
 from .sim import GeneratorSpec, descend_scores, generate_scores, simulate_training
 from .types import (
     DistanceKind,
@@ -154,11 +155,7 @@ SWEEPS = {
 
 def load_config_file(path: str) -> dict:
     """Read a JSON config file into {key: value}, each value checked against its setting's kind."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ScoreFileError(f"cannot read config {path}: {exc.strerror or exc}", 0, 0) from exc
+    text = read_text(path, "config ")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -200,8 +197,11 @@ def loss_config(given: dict) -> LossConfig:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

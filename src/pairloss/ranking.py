@@ -10,6 +10,13 @@ a constant under differentiation. Two modes:
   negcount  the number of negatives that beat the anchor by more than the
             filter threshold. Zero means the anchor has no valid errors
             and is skipped (balance_constant returns None).
+
+Every reader here walks the set's one score order, ScoreSet.order
+(descending score, ties by ascending index): the top-q selection is a
+prefix of the negatives in it, valid counts bisect their descending
+scores, and each anchor's ranks sum one row of the positives' then the
+negatives' scores in it. So selections, counts and ranks depend on the
+scores alone, bit for bit, not on the order of the elements in the set.
 """
 
 from __future__ import annotations
@@ -64,37 +71,40 @@ def overflow_error(anchor) -> ValidationError:
     return ValidationError(f"a score difference of anchor {anchor} overflows a double; score differences must be finite")
 
 
+def _by_score(score_set: ScoreSet, label: Label) -> np.ndarray:
+    """Indices labelled `label`, in the set's score order: descending score, ties by ascending index."""
+    return score_set.order[score_set.labels[score_set.order] == label]
+
+
 def compute_ranks(score_set: ScoreSet, u, rank_delta: float = 0.5):
     """Smoothed (rank+, rank-) of positive anchor u.
 
     rank+ = 1 + sum over other positives of H(score[p] - score[u]);
     rank- = sum over all negatives of H(score[n] - score[u]).
     The leading 1 is the anchor's own contribution, so rank+ >= 1 always.
+    Each anchor scans one row, the positives' then the negatives' scores in
+    the set's score order, so the ranks depend on the scores alone, not on
+    their order in the set.
     An int u gives two floats; an index array gives two arrays, one entry per anchor.
     """
     anchors, scalar = _check_anchors(score_set, u)
     if not (math.isfinite(rank_delta) and rank_delta > 0):
         raise ValidationError(f"rank_delta must be > 0, got {rank_delta!r}")
     scores = score_set.scores
-    pos = score_set.positive_indices
-    neg_scores = scores[score_set.negative_indices]
-    # an anchor's own slot is dropped from its positive row, not zeroed, so each row is
-    # the array a one-anchor call sums, and np.sum reduces it the same way
-    others = np.arange(pos.size - 1)
-    own = np.searchsorted(pos, anchors)[:, None]
+    pos = _by_score(score_set, Label.POSITIVE)
+    row = scores[np.concatenate([pos, _by_score(score_set, Label.NEGATIVE)])]
     ranks = np.empty((2, anchors.size))
     # finite scores can differ by more than a double holds; step_distance rejects the inf
     with np.errstate(over="ignore"):
-        for rows in row_blocks(anchors.size, pos.size + neg_scores.size):
-            s_u = scores[anchors[rows], None]
-            pos_diffs = scores[pos[others + (others >= own[rows])]] - s_u
-            neg_diffs = neg_scores - s_u
+        for rows in row_blocks(anchors.size, row.size):
+            diffs = row - scores[anchors[rows], None]
             try:
-                ranks[0, rows] = 1.0 + np.sum(step_distance(pos_diffs, rank_delta), axis=1)
-                ranks[1, rows] = np.sum(step_distance(neg_diffs, rank_delta), axis=1)
+                ramps = step_distance(diffs, rank_delta)
             except ValidationError:
-                finite = np.isfinite(pos_diffs).all(axis=1) & np.isfinite(neg_diffs).all(axis=1)
-                raise overflow_error(anchors[rows][~finite][0]) from None
+                raise overflow_error(anchors[rows][~np.isfinite(diffs).all(axis=1)][0]) from None
+            # the anchor's own ramp H(0) = 1/2 stays in its row; the other half completes the self term
+            ranks[0, rows] = 0.5 + np.sum(ramps[:, : pos.size], axis=1)
+            ranks[1, rows] = np.sum(ramps[:, pos.size :], axis=1)
     return tuple(ranks[:, 0].tolist()) if scalar else tuple(ranks)
 
 
@@ -112,20 +122,20 @@ def valid_negative_count(score_set: ScoreSet, u, threshold: float = 0.25):
     """Number of negatives t forming a valid error pair with anchor u: t - score[u] > threshold.
 
     The rounded difference is monotone in t, so the valid negatives are the highest-scoring
-    ones, and a binary search of the sorted scores finds each anchor's count.
+    ones, and a binary search of the negatives in the set's score order finds each anchor's count.
     An int u gives an int; an index array gives an int64 array, one count per anchor.
     """
     anchors, scalar = _check_anchors(score_set, u)
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ValidationError(f"threshold must be >= 0, got {threshold!r}")
     s_u = score_set.scores[anchors]
-    neg_scores = np.sort(score_set.scores[score_set.negative_indices])
+    neg_scores = score_set.scores[_by_score(score_set, Label.NEGATIVE)]
     counts = np.zeros(anchors.size, dtype=np.int64)
     # counts grow by powers of two while the predicate holds; an overflow to +-inf compares correctly
     with np.errstate(over="ignore"):
         for bit in reversed(range(neg_scores.size.bit_length())):
             wider = np.minimum(counts + (1 << bit), neg_scores.size)
-            counts = np.where(neg_scores[-wider] - s_u > threshold, wider, counts)
+            counts = np.where(neg_scores[wider - 1] - s_u > threshold, wider, counts)
     return int(counts[0]) if scalar else counts
 
 
@@ -139,9 +149,7 @@ def select_top_q_negatives(score_set: ScoreSet, budget: PairBudget) -> np.ndarra
     """
     if not isinstance(budget, PairBudget):
         raise ValidationError("budget must be a PairBudget")
-    neg = score_set.negative_indices
-    # stable sort on negated scores: equal scores keep ascending index order
-    return neg[np.argsort(-score_set.scores[neg], kind="stable")[: budget.q]]
+    return _by_score(score_set, Label.NEGATIVE)[: budget.q]
 
 
 def balance_constant(score_set: ScoreSet, u: int, config: LossConfig) -> float | None:

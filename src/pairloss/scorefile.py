@@ -5,11 +5,12 @@ then one `index,score,label` row per element. Labels are 1 (positive),
 0 (negative), -1 (ignore); indices must form the permutation 0..n-1, so row
 order does not have to match index order.
 
-Structural problems (bad header, wrong column count, unparseable numbers)
-raise ScoreFileError with 1-based line and column; domain problems
-(non-finite score, unknown label, duplicate or missing index) raise
-ValidationError naming the offending row. The two map to different CLI exit
-codes, which is why they are different exception types.
+Structural problems (bad header, wrong column count, unparseable numbers,
+a byte that is not UTF-8) raise ScoreFileError with 1-based line and
+column; domain problems (non-finite score, unknown label, duplicate or
+missing index) raise ValidationError naming the offending row. The two map
+to different CLI exit codes, which is why they are different exception
+types.
 
 Reports are JSON with stable key names. Floats are rounded to 15
 significant digits before serialisation, so the printed text re-parses to
@@ -38,13 +39,34 @@ class ScoreFileError(Exception):
         self.column = column
 
 
+def read_text(path: str, what: str = "") -> str:
+    """The UTF-8 text of the file at path, with universal newlines, as text-mode open reads it.
+
+    A file that cannot be read, or is not UTF-8, raises ScoreFileError naming
+    `what` and the path; a bad byte is located by its 1-based line and column.
+    """
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise ScoreFileError(f"cannot read {what}{path}: {exc.strerror or exc}", 0, 0) from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = _universal_newlines(data[: exc.start].decode("utf-8"))
+        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+        message = f"{what}{path} is not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        raise ScoreFileError(message, line, column) from None
+    return _universal_newlines(text)
+
+
+def _universal_newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_score_file(path: str) -> ScoreSet:
     """Parse a score CSV into a ScoreSet."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ScoreFileError(f"cannot read {path}: {exc.strerror or exc}", 0, 0) from exc
+    text = read_text(path)
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

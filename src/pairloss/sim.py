@@ -8,7 +8,9 @@ explicit seeding (positives drawn before negatives), so a (spec, config,
 steps, lr) tuple reproduces bit-identical trajectories on one machine with
 one numpy build. The gradient's sigmoid masses go through np.exp, whose
 code numpy picks per CPU (see pairloss.distance), so across CPU dispatch
-targets trajectories agree to rounding, not bit for bit.
+targets trajectories agree to rounding, not bit for bit. ranking_ap ranks
+by the score set's one score order, ScoreSet.order, which the loss's top-q
+selection, valid counts and ranks read too.
 """
 
 from __future__ import annotations
@@ -137,19 +139,14 @@ def generate_scores(spec: GeneratorSpec) -> ScoreSet:
 def ranking_ap(score_set: ScoreSet) -> float:
     """Score-level average precision: mean precision at each positive's rank.
 
-    Entries are ranked by descending score with ties broken by ascending
-    index; ignore-labelled entries take no part in the ranking. AP is 1
-    exactly when every positive outscores every negative.
+    Entries are ranked in the set's score order (descending score, ties by
+    ascending index); ignore-labelled entries take no part in the ranking.
+    AP is 1 exactly when every positive outscores every negative.
     """
-    keep = score_set.labels != Label.IGNORE
-    scores = score_set.scores[keep]
-    labels = score_set.labels[keep]
-    n_pos = int(np.count_nonzero(labels == Label.POSITIVE))
-    if n_pos == 0:
+    labels = score_set.labels[score_set.order]
+    hits = (labels[labels != Label.IGNORE] == Label.POSITIVE).astype(np.float64)
+    if not hits.any():
         raise UndefinedMetricError("ranking AP needs at least one positive")
-    # stable sort on negated scores: equal scores keep ascending index order
-    order = np.argsort(-scores, kind="stable")
-    hits = (labels[order] == Label.POSITIVE).astype(np.float64)
     cum_hits = np.cumsum(hits)
     ranks = np.flatnonzero(hits) + 1
     precisions = cum_hits[ranks - 1] / ranks

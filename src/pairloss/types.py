@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from functools import cached_property
 
 import numpy as np
 
@@ -90,15 +91,16 @@ class ScoreSet:
     """A batch of scores with {positive, negative, ignore} labels.
 
     Arrays are copied, cast to float64/int64, and frozen read-only. Scores
-    must be finite; labels must come from `Label`.
+    must be finite; labels must come from `Label`, checked before the cast.
     """
 
     scores: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        scores = np.ascontiguousarray(self.scores, dtype=np.float64)
-        labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+        # copies, so no caller's array can change the scores under the cached order
+        scores = np.array(self.scores, dtype=np.float64)
+        labels = np.asarray(self.labels)
         if scores.ndim != 1 or labels.ndim != 1:
             raise ValidationError("scores and labels must be one-dimensional")
         if scores.shape != labels.shape:
@@ -115,9 +117,10 @@ class ScoreSet:
         if not valid.all():
             bad = int(np.flatnonzero(~valid)[0])
             raise ValidationError(
-                f"label at index {bad} is {int(labels[bad])}, "
+                f"label at index {bad} is {labels[bad].item()!r}, "
                 f"expected one of {sorted(VALID_LABELS)}"
             )
+        labels = np.array(labels, dtype=np.int64)
         scores.flags.writeable = False
         labels.flags.writeable = False
         object.__setattr__(self, "scores", scores)
@@ -137,6 +140,18 @@ class ScoreSet:
     @property
     def ignore_indices(self) -> np.ndarray:
         return np.flatnonzero(self.labels == Label.IGNORE)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Indices by descending score, ties by ascending index: the one score order every reader shares.
+
+        Computed on first use and read-only. Filtering it by label gives each
+        label's indices in the same order.
+        """
+        # stable sort on negated scores: equal scores keep ascending index order
+        order = np.argsort(-self.scores, kind="stable")
+        order.flags.writeable = False
+        return order
 
     def with_scores(self, scores: np.ndarray) -> "ScoreSet":
         """Same labels, new scores (used by the training simulator)."""

@@ -7,6 +7,7 @@ loosening them to make a red check green defeats the point of the gate.
 
 import math
 import time
+from dataclasses import astuple
 
 import numpy as np
 
@@ -255,6 +256,42 @@ def test_criterion_8_structural_invariants():
         "shift, permutation, sign, pair-sum, ignore invariants",
         ok_shift and ok_perm and ok_sign and ok_pairsum and ok_ignore,
         f"shift {ok_shift}, perm {ok_perm}, sign {ok_sign}, pair-sum {ok_pairsum}, ignore {ok_ignore}",
+    )
+
+
+def _bits(stats) -> tuple:
+    """A RankStats row with its floats as hex strings, so equality is bitwise (the sign of zero included)."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in astuple(stats)[1:])
+
+
+def test_criterion_8_bitwise_permutation():
+    # the ranks and per-anchor losses depend on the scores alone; the gradient keeps criterion 8's 1e-12,
+    # because negative-side sums run in anchor order
+    rng = np.random.default_rng(89)
+    sets = [generate_scores(GeneratorSpec(seed=seed)) for seed in range(4)]
+    for _ in range(20):
+        n = int(rng.integers(2, 80))
+        # a coarse lattice gives score ties, across the top-Q cut too
+        sets.append(make_set(rng.integers(-16, 17, size=n) / 16.0, rng.choice([1, 0, 0, -1], size=n)))
+    anchors = differing = 0
+    for config in (ce_config(), ce_config(q=3)):
+        for score_set in sets:
+            perm = rng.permutation(len(score_set))
+            base = evaluate_with_gradient(score_set, config)
+            permuted = evaluate_with_gradient(make_set(score_set.scores[perm], score_set.labels[perm]), config)
+            before = {s.anchor_index: s for s in base.stats}
+            for s in permuted.stats:
+                u = int(perm[s.anchor_index])
+                same = _bits(s) == _bits(before[u])
+                same = same and permuted.per_anchor_loss[s.anchor_index].hex() == base.per_anchor_loss[u].hex()
+                anchors += 1
+                differing += not same
+            differing += permuted.total_loss.hex() != base.total_loss.hex()
+    verdict(
+        8,
+        "ranks, per-anchor and total losses are bitwise permutation-invariant",
+        differing == 0,
+        f"{differing} differing results over {anchors} anchors",
     )
 
 

@@ -112,6 +112,23 @@ class TestEval:
         report = json.loads(target.read_text(encoding="utf-8"))
         assert report["total_loss"] == pytest.approx(EQUAL_PAIR_LOSS, rel=1e-12)
 
+    @pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-directory", "directory"])
+    def test_unwritable_out_is_validation_error(self, capsys, equal_pair, tmp_path, target):
+        out = str(tmp_path / target)
+        assert main(["eval", equal_pair, "--out", out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        strerror = "No such file or directory" if target.startswith("missing") else "Is a directory"
+        assert captured.err == f"validation error: cannot write --out {out}: {strerror}\n"
+
+    def test_non_utf8_score_file_is_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("index,score,label\n0,0.5,1\n1,0.4,0 \u00e9t\u00e9\n".encode("latin-1"))
+        assert main(["eval", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: line 3, column 9: {path} is not UTF-8: byte 0xe9 (invalid continuation byte)\n"
+        )
+
     def test_bad_header_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("score,index,label\n0,0.5,1\n", encoding="utf-8")
@@ -211,6 +228,14 @@ class TestConfigLayering:
         path.write_text("{not json", encoding="utf-8")
         assert main(["eval", equal_pair, "--config", str(path)]) == 2
         assert "parse error" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_parse_error(self, capsys, tmp_path, equal_pair):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{\n  "lambda": 4.0, "\u00df": 1\n}\n'.encode("latin-1"))
+        assert main(["eval", equal_pair, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"parse error: line 2, column 19: config {path} is not UTF-8: byte 0xdf (invalid continuation byte)\n"
+        )
 
 
 class TestSweep:
@@ -643,6 +668,22 @@ def test_import_loads_no_dependency_but_numpy():
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     run = subprocess.run([sys.executable, "-c", IMPORTED_PACKAGES], capture_output=True, text=True, env=env, check=True)
     assert run.stdout == "['numpy', 'pairloss']\n"
+
+
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from pairloss.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_eval_runs_with_scipy_blocked(mixed_file):
+    # pyproject.toml and the README promise numpy as the only dependency; this holds it to that
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, "eval", mixed_file], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert json.loads(run.stdout)["total_loss"] == round_floats(evaluate_with_gradient(read_score_file(mixed_file), LossConfig()).total_loss)
 
 
 def readme_commands() -> list[str]:

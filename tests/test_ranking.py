@@ -10,6 +10,7 @@ from pairloss import (
     FilterSpec,
     LossConfig,
     PairBudget,
+    ScoreSet,
     ValidationError,
     balance_constant,
     compute_ranks,
@@ -19,6 +20,45 @@ from pairloss import (
 )
 
 from conftest import make_set, random_score_set
+
+
+class TestScoreSet:
+    def test_order_is_descending_score_then_ascending_index(self):
+        ss = make_set([0.5, 0.9, 0.5, -0.0, 0.0, 0.9], [1, 0, -1, 0, 1, 1])
+        assert ss.order.tolist() == [1, 5, 0, 2, 3, 4]
+
+    def test_order_is_computed_once_and_read_only(self):
+        ss = make_set([0.2, 0.7], [1, 0])
+        assert ss.order is ss.order
+        with pytest.raises(ValueError):
+            ss.order[0] = 1
+        assert ss.with_scores(np.array([0.7, 0.2])).order.tolist() == [0, 1]
+
+    def test_arrays_are_copied(self):
+        scores, labels = np.array([0.2, 0.7]), np.array([1, 0])
+        ss = ScoreSet(scores=scores, labels=labels)
+        scores[0], labels[0] = 9.0, 0
+        assert ss.scores.tolist() == [0.2, 0.7] and ss.labels.tolist() == [1, 0]
+        assert ss.order.tolist() == [1, 0]
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ([0.7, 1.9], "label at index 0 is 0.7, expected one of [-1, 0, 1]"),
+            ([1.0, -1.5], "label at index 1 is -1.5, expected one of [-1, 0, 1]"),
+            (np.array([1, 2**63 + 5], dtype=np.uint64), "label at index 1 is 9223372036854775813, expected one of [-1, 0, 1]"),
+            ([1, 2], "label at index 1 is 2, expected one of [-1, 0, 1]"),
+        ],
+    )
+    def test_labels_are_checked_before_the_cast(self, labels, message):
+        with pytest.raises(ValidationError) as exc:
+            ScoreSet(scores=np.array([0.2, 0.7]), labels=labels)
+        assert str(exc.value) == message
+
+    def test_integral_labels_of_any_type_are_accepted(self):
+        for labels in ([1.0, -0.0], np.array([1, 0], dtype=np.uint8), [True, False]):
+            ss = ScoreSet(scores=np.array([0.2, 0.7]), labels=labels)
+            assert ss.labels.dtype == np.int64 and ss.labels.tolist() == [1, 0]
 
 
 class TestComputeRanks:

@@ -86,6 +86,20 @@ class TestReadScoreFile:
             read_score_file(path)
         assert exc.value.line == 3
 
+    def test_crlf_line_endings_read_as_lf(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"index,score,label\r\n0,0.5,1\r\n1,0.25,0\r\n")
+        ss = read_score_file(str(path))
+        assert ss.scores.tolist() == [0.5, 0.25] and ss.labels.tolist() == [1, 0]
+
+    def test_non_utf8_byte_names_file_line_and_column(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"index,score,label\r\n0,0.5,1\r\n1,\xc3\xa9\xff,0\r\n")
+        with pytest.raises(ScoreFileError) as exc:
+            read_score_file(str(path))
+        assert (exc.value.line, exc.value.column) == (3, 4)
+        assert exc.value.message == f"{path} is not UTF-8: byte 0xff (invalid start byte)"
+
     def test_missing_file(self):
         with pytest.raises(ScoreFileError):
             read_score_file("/nonexistent/scores.csv")
