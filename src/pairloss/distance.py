@@ -6,18 +6,19 @@ Three kernels, all vectorised over numpy arrays and exact for scalars:
   sigmoid_distance  logistic curve with steepness lam
   ce_distance       cross-entropy of the sigmoid, softplus(lam*x)/lam
 
-plus the two analytic derivatives the gradient paths need. The derivative
-convention everywhere is d/d(anchor score): the argument x is
-score[negative] - score[anchor], so d/d(anchor) = -d/dx.
+plus two analytic derivatives; only ce_distance_grad_wrt_u serves a
+gradient path (autodiff-ce). The derivative convention everywhere is
+d/d(anchor score): the argument x is score[negative] - score[anchor], so
+d/d(anchor) = -d/dx.
 
-Numerical notes. The ramp is computed as 0.5 + 0.5*(x/delta) inside the
-clamp, so huge |x| cannot overflow the way (x + delta) can. Every sigmoid
-value comes from one helper, _sigmoid(z) = 1 / (1 + exp(-z)); where exp
-overflows the quotient saturates to exactly 0. The cross-entropy form
+Numerical notes. Every ramp value comes from one helper, _ramp, which
+computes 0.5 + 0.5*(x/delta) inside the clamp: huge |x| cannot overflow the
+way (x + delta) can, and x = +-inf reads as the ramp's limit, 1 or 0. Every
+sigmoid value comes from one helper, _sigmoid(z) = 1 / (1 + exp(-z)); where
+exp overflows the quotient saturates to exactly 0. The cross-entropy form
 -(1/lam)*log(1 - sigmoid(lam*x)) loses everything to rounding once
-lam*x > ~37, so it is evaluated as np.logaddexp(0, lam*x)/lam, which is the
-same function arranged without the cancellation; where that overflows,
-CE(x) = x.
+lam*x > ~37, so it is evaluated as np.logaddexp(0, lam*x)/lam, the same
+function arranged without the cancellation; where that overflows, CE(x) = x.
 
 Determinism. np.exp runs on the SIMD code numpy selects for the CPU at
 import (NEP 38 dispatch), so sigmoid values are bitwise repeatable on one
@@ -60,6 +61,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _ramp(x: np.ndarray, delta: float) -> np.ndarray:
+    """clip(0.5 + 0.5 * (x / delta), 0, 1); x / delta may overflow to +-inf, which the clamp absorbs."""
+    with np.errstate(over="ignore"):
+        return np.clip(0.5 + 0.5 * (x / delta), 0.0, 1.0)
+
+
 def step_distance(x, delta: float = 0.5):
     """Clamped linear ramp H(x) = clip((x + delta) / (2 delta), 0, 1).
 
@@ -68,9 +75,7 @@ def step_distance(x, delta: float = 0.5):
     """
     delta = _check_param("delta", delta)
     arr, scalar = _prepare(x)
-    # x / delta may overflow to +-inf for extreme scores; the clamp absorbs it
-    with np.errstate(over="ignore"):
-        return _ret(np.clip(0.5 + 0.5 * (arr / delta), 0.0, 1.0), scalar)
+    return _ret(_ramp(arr, delta), scalar)
 
 
 def sigmoid_distance(x, lam: float = 8.0):

@@ -45,7 +45,6 @@ from .distance import (
 from .ranking import (
     RankStats,
     compute_ranks,
-    overflow_error,
     row_blocks,
     select_top_q_negatives,
     valid_negative_count,
@@ -61,6 +60,11 @@ from .types import (
 )
 
 _FORWARD = "forward"
+
+
+def overflow_error(anchor) -> ValidationError:
+    """The error for a kept pair of finite scores whose difference overflows a double."""
+    return ValidationError(f"a score difference of anchor {anchor} overflows a double; score differences must be finite")
 
 
 @dataclass(frozen=True)

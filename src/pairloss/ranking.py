@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import step_distance
+from .distance import _ramp
 from .types import FilterMode, Label, LossConfig, PairBudget, ScoreSet, ValidationError
 
 
@@ -66,17 +66,12 @@ def _check_anchors(score_set: ScoreSet, u) -> tuple[np.ndarray, bool]:
     return anchors, scalar
 
 
-def overflow_error(anchor) -> ValidationError:
-    """The error for finite scores whose difference from anchor's score overflows a double."""
-    return ValidationError(f"a score difference of anchor {anchor} overflows a double; score differences must be finite")
-
-
 def _by_score(score_set: ScoreSet, label: Label) -> np.ndarray:
     """Indices labelled `label`, in the set's score order: descending score, ties by ascending index."""
     return score_set.order[score_set.labels[score_set.order] == label]
 
 
-def compute_ranks(score_set: ScoreSet, u, rank_delta: float = 0.5):
+def compute_ranks(score_set: ScoreSet, u, delta: float = 0.5):
     """Smoothed (rank+, rank-) of positive anchor u.
 
     rank+ = 1 + sum over other positives of H(score[p] - score[u]);
@@ -84,27 +79,23 @@ def compute_ranks(score_set: ScoreSet, u, rank_delta: float = 0.5):
     The leading 1 is the anchor's own contribution, so rank+ >= 1 always.
     Each anchor scans one row, the positives' then the negatives' scores in
     the set's score order, so the ranks depend on the scores alone, not on
-    their order in the set.
+    their order in the set; a difference that overflows counts 1 or 0.
     An int u gives two floats; an index array gives two arrays, one entry per anchor.
     """
     anchors, scalar = _check_anchors(score_set, u)
-    if not (math.isfinite(rank_delta) and rank_delta > 0):
-        raise ValidationError(f"rank_delta must be > 0, got {rank_delta!r}")
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValidationError(f"delta must be > 0, got {delta!r}")
     scores = score_set.scores
     pos = _by_score(score_set, Label.POSITIVE)
     row = scores[np.concatenate([pos, _by_score(score_set, Label.NEGATIVE)])]
     ranks = np.empty((2, anchors.size))
-    # finite scores can differ by more than a double holds; step_distance rejects the inf
-    with np.errstate(over="ignore"):
-        for rows in row_blocks(anchors.size, row.size):
-            diffs = row - scores[anchors[rows], None]
-            try:
-                ramps = step_distance(diffs, rank_delta)
-            except ValidationError:
-                raise overflow_error(anchors[rows][~np.isfinite(diffs).all(axis=1)][0]) from None
-            # the anchor's own ramp H(0) = 1/2 stays in its row; the other half completes the self term
-            ranks[0, rows] = 0.5 + np.sum(ramps[:, : pos.size], axis=1)
-            ranks[1, rows] = np.sum(ramps[:, pos.size :], axis=1)
+    for rows in row_blocks(anchors.size, row.size):
+        # finite scores can differ by more than a double holds; the ramp reads the +-inf as its limit
+        with np.errstate(over="ignore"):
+            ramps = _ramp(row - scores[anchors[rows], None], delta)
+        # the anchor's own ramp H(0) = 1/2 stays in its row; the other half completes the self term
+        ranks[0, rows] = 0.5 + np.sum(ramps[:, : pos.size], axis=1)
+        ranks[1, rows] = np.sum(ramps[:, pos.size :], axis=1)
     return tuple(ranks[:, 0].tolist()) if scalar else tuple(ranks)
 
 

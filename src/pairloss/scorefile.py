@@ -8,9 +8,8 @@ order does not have to match index order.
 Structural problems (bad header, wrong column count, unparseable numbers,
 a byte that is not UTF-8) raise ScoreFileError with 1-based line and
 column; domain problems (non-finite score, unknown label, duplicate or
-missing index) raise ValidationError naming the offending row. The two map
-to different CLI exit codes, which is why they are different exception
-types.
+missing index, a file that cannot be opened) raise ValidationError naming
+the row or file. The two map to different CLI exit codes.
 
 Reports are JSON with stable key names. Floats are rounded to 15
 significant digits before serialisation, so the printed text re-parses to
@@ -42,14 +41,15 @@ class ScoreFileError(Exception):
 def read_text(path: str, what: str = "") -> str:
     """The UTF-8 text of the file at path, with universal newlines, as text-mode open reads it.
 
-    A file that cannot be read, or is not UTF-8, raises ScoreFileError naming
-    `what` and the path; a bad byte is located by its 1-based line and column.
+    A file that cannot be read raises ValidationError, and one that is not
+    UTF-8 raises ScoreFileError locating the bad byte by its 1-based line and
+    column; both name `what` and the path.
     """
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as exc:
-        raise ScoreFileError(f"cannot read {what}{path}: {exc.strerror or exc}", 0, 0) from exc
+        raise ValidationError(f"cannot read {what}{path}: {exc.strerror or exc}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

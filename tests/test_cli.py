@@ -121,6 +121,25 @@ class TestEval:
         strerror = "No such file or directory" if target.startswith("missing") else "Is a directory"
         assert captured.err == f"validation error: cannot write --out {out}: {strerror}\n"
 
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["{dir}/missing.csv"], "cannot read {dir}/missing.csv: No such file or directory"),
+            (["{dir}"], "cannot read {dir}: Is a directory"),
+            (
+                ["{dir}/scores.csv", "--config", "{dir}/missing.json"],
+                "cannot read config {dir}/missing.json: No such file or directory",
+            ),
+        ],
+        ids=["missing-score-file", "directory", "missing-config"],
+    )
+    def test_unreadable_file_is_validation_error(self, capsys, tmp_path, argv, message):
+        score_file(tmp_path, [0.6, 0.4], [1, 0])
+        assert main(["eval", *(a.format(dir=tmp_path) for a in argv)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"validation error: {message.format(dir=tmp_path)}\n"
+
     def test_non_utf8_score_file_is_parse_error(self, capsys, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("index,score,label\n0,0.5,1\n1,0.4,0 \u00e9t\u00e9\n".encode("latin-1"))

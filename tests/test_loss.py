@@ -1,8 +1,11 @@
 """Forward loss and gradient tests: spot values, invariants, both gradient forms."""
 
+import importlib.util
 import math
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -482,7 +485,7 @@ class TestOverflow:
     @pytest.mark.parametrize(
         ("config", "anchor"),
         [
-            (CE8, 0),  # the ranks overflow first, on anchor 0's positive row
+            (CE8, 0),  # anchor 0's kept pair with negative 1 overflows to -inf
             (NEGCOUNT, 2),  # anchor 0's -inf pair is not valid, so the kept inf of anchor 2 is the one
             (LossConfig(pair_filter=FilterSpec(mode="negcount", filter_numerator=False)), 0),
         ],
@@ -493,6 +496,24 @@ class TestOverflow:
         for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce):
             with pytest.raises(ValidationError, match=message):
                 fn(ss, config)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflows_outside_the_kept_pairs_are_read_by_the_ranks(self):
+        # negative 4 lies more than a double below both anchors, and Q = 2 does not keep it:
+        # the ranks read its -inf differences as 0, and no kept pair overflows
+        ss = make_set([9e307, 8.9e307, 8.95e307, 9.1e307, -1e308], [1, 1, 0, 0, 0])
+        config = LossConfig(budget=PairBudget(2))
+        expect = brute_force_loss(ss, config)
+        for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce):
+            got = fn(ss, config)
+            assert got.total_loss == pytest.approx(expect.total_loss, rel=1e-12)
+            assert got.per_anchor_loss == pytest.approx(expect.per_anchor_loss, rel=1e-12)
+            if got.gradient is not None:
+                np.testing.assert_allclose(got.gradient, expect.gradient, rtol=1e-12, atol=0.0)
+        # a kept pair's overflow stays the one refused case
+        message = "^a score difference of anchor 0 overflows a double; score differences must be finite$"
+        with pytest.raises(ValidationError, match=message):
+            evaluate_loss(make_set([1e308, -1e308], [1, 0]), CE8)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_differences_of_a_perfect_ranking_cost_nothing_under_negcount(self):
@@ -543,3 +564,14 @@ class TestArgumentErrors:
         config = LossConfig(distance=DistanceSpec(kind=DistanceKind.STEP, delta=0.5))
         result = evaluate_loss(equal_pair(), config)
         assert result.total_loss == pytest.approx(0.5 / 1.5, rel=1e-12)
+
+
+def test_every_call_site_the_benchmark_traces_exists(monkeypatch):
+    # perfbench/spans.py times layers by replacing names bound in pairloss modules, such as
+    # pairloss.loss.compute_ranks; a refactor that moves such a call would trace its layer as 0
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "spans", spans)
+    spec.loader.exec_module(spans)
+    assert spans.absent_sites() == []

@@ -105,8 +105,14 @@ class TestComputeRanks:
 
     def test_rejects_bad_rank_delta(self):
         ss = make_set([0.6], [1])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^delta must be > 0, got 0\.0$"):
             compute_ranks(ss, 0, 0.0)
+
+    def test_overflowing_differences_read_as_the_ramps_limits(self):
+        # -1e308 - 1e308 overflows to -inf, which lies below the window and counts 0
+        ss = make_set([1e308, -1e308], [1, 0])
+        assert compute_ranks(ss, 0, 0.5) == (1.0, 0.0)
+        assert balance_constant(ss, 0, LossConfig()) == 1.0
 
 
 class TestValidPairIndicator:
@@ -303,9 +309,11 @@ class TestShiftInvariance:
             )
 
 
-def _naive_ranks(ss, u, rank_delta):
+def _naive_ranks(ss, u, delta):
+    """Ranks by a double loop over Python floats, whose overflow gives +-inf without a warning."""
+
     def ramp(x):
-        t = 0.5 + 0.5 * (x / rank_delta)
+        t = 0.5 + 0.5 * (x / delta)
         return min(1.0, max(0.0, t))
 
     rank_plus = 1.0
@@ -314,9 +322,9 @@ def _naive_ranks(ss, u, rank_delta):
         if j == u:
             continue
         if ss.labels[j] == 1:
-            rank_plus += ramp(float(ss.scores[j] - ss.scores[u]))
+            rank_plus += ramp(float(ss.scores[j]) - float(ss.scores[u]))
         elif ss.labels[j] == 0:
-            rank_minus += ramp(float(ss.scores[j] - ss.scores[u]))
+            rank_minus += ramp(float(ss.scores[j]) - float(ss.scores[u]))
     return rank_plus, rank_minus
 
 
@@ -335,6 +343,30 @@ class TestNaiveReference:
                     np.float64(fast[0]).tobytes(),
                     np.float64(fast[1]).tobytes(),
                 )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(0, 8).map(lambda k: k / 4.0),  # lattice: ties, and differences on the ramp's kinks
+                    st.floats(-3.0, 3.0),
+                    st.sampled_from([1e308, -1e308]),  # differences overflow to +-inf
+                ),
+                st.sampled_from([1, 1, 0, -1]),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        offset=st.sampled_from([0.0, 1e3, 1e6, -1e6]),
+        delta=st.sampled_from([0.125, 0.5, 3.0]),
+    )
+    def test_ranks_match_double_loop_at_any_offset(self, points, offset, delta):
+        labels = [1] + [label for _, label in points[1:]]
+        ss = make_set([score + offset for score, _ in points], labels)
+        plus, minus = compute_ranks(ss, ss.positive_indices, delta)
+        for i, u in enumerate(ss.positive_indices):
+            assert (plus[i], minus[i]) == pytest.approx(_naive_ranks(ss, int(u), delta), rel=1e-12, abs=1e-12)
 
     def test_counts_match_double_loop(self):
         rng = np.random.default_rng(13)

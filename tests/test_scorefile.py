@@ -101,7 +101,8 @@ class TestReadScoreFile:
         assert exc.value.message == f"{path} is not UTF-8: byte 0xff (invalid start byte)"
 
     def test_missing_file(self):
-        with pytest.raises(ScoreFileError):
+        # nothing was parsed, so this is not a parse error with a position
+        with pytest.raises(ValidationError, match="^cannot read /nonexistent/scores.csv: No such file or directory$"):
             read_score_file("/nonexistent/scores.csv")
 
 
