@@ -40,6 +40,7 @@ from .types import (
     PairBudget,
     Reduction,
     ValidationError,
+    integer,
 )
 
 CONFIG_ENV_VAR = "PAIRLOSS_CONFIG"
@@ -320,9 +321,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise ValidationError(
             f"unknown curve function {args.function!r}, expected H, S, or CE"
         )
-    samples = args.samples
-    if samples < 2:
-        raise ValidationError(f"samples must be >= 2, got {samples}")
+    samples = integer("samples", args.samples, 2)
     # a finite width needs finite ends, and linspace scales its steps by the width
     if not (math.isfinite(args.x_max - args.x_min) and args.x_min < args.x_max):
         raise ValidationError(f"need x_min < x_max with a finite width x_max - x_min, got [{args.x_min}, {args.x_max}]")

@@ -31,25 +31,16 @@ double a 1-ulp step of exp to 4 ulp. tests/test_determinism.py pins this.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .types import DistanceKind, DistanceSpec, ValidationError
+from .types import DistanceKind, DistanceSpec, ValidationError, finite, real_array
 
 
-def _prepare(x, name: str = "x") -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
+def _prepare(x) -> tuple[np.ndarray, bool]:
+    arr = real_array("x", x)
     if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} must be finite")
+        raise ValidationError("x must be finite")
     return arr, arr.ndim == 0
-
-
-def _check_param(name: str, value: float) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > 0):
-        raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
-    return value
 
 
 def _ret(arr: np.ndarray, scalar: bool):
@@ -73,14 +64,14 @@ def step_distance(x, delta: float = 0.5):
     Exactly 0 for x <= -delta, exactly 1 for x >= delta, 0.5 at x = 0, and
     symmetric: H(x) + H(-x) = 1.
     """
-    delta = _check_param("delta", delta)
+    delta = finite("delta", delta, gt=0)
     arr, scalar = _prepare(x)
     return _ret(_ramp(arr, delta), scalar)
 
 
 def sigmoid_distance(x, lam: float = 8.0):
     """Logistic distance S(x) = 1 / (1 + exp(-lam * x))."""
-    lam = _check_param("lam", lam)
+    lam = finite("lam", lam, gt=0)
     arr, scalar = _prepare(x)
     # lam * x may overflow to +-inf for extreme scores; the sigmoid saturates correctly
     with np.errstate(over="ignore"):
@@ -93,7 +84,7 @@ def sigmoid_distance_grad_wrt_u(x, lam: float = 8.0):
     Written as -lam * S(x) * S(-x): both factors are stable, neither is a
     subtraction from 1.
     """
-    lam = _check_param("lam", lam)
+    lam = finite("lam", lam, gt=0)
     arr, scalar = _prepare(x)
     with np.errstate(over="ignore"):
         z = lam * arr
@@ -107,7 +98,7 @@ def ce_distance(x, lam: float = 8.0):
     cancellation for large lam * x. Nonnegative everywhere, ~0 for strongly
     correct pairs, asymptotically linear (slope 1) for strongly wrong ones.
     """
-    lam = _check_param("lam", lam)
+    lam = finite("lam", lam, gt=0)
     arr, scalar = _prepare(x)
     with np.errstate(over="ignore"):
         out = np.logaddexp(0.0, lam * arr) / lam
@@ -123,7 +114,7 @@ def ce_distance_grad_wrt_u(x, lam: float = 8.0):
     The lam factors cancel: (1 / (lam * (1 - S))) from the outer log times
     (-lam * S * (1 - S)) from the inner sigmoid leaves -S.
     """
-    lam = _check_param("lam", lam)
+    lam = finite("lam", lam, gt=0)
     arr, scalar = _prepare(x)
     with np.errstate(over="ignore"):
         return _ret(-_sigmoid(lam * arr), scalar)

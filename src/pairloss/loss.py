@@ -57,9 +57,8 @@ from .types import (
     Reduction,
     ScoreSet,
     ValidationError,
+    instance,
 )
-
-_FORWARD = "forward"
 
 
 def overflow_error(anchor) -> ValidationError:
@@ -180,17 +179,16 @@ def _row_sums(values: np.ndarray, counts: np.ndarray, anchors: np.ndarray) -> np
     return sums
 
 
-def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
-    if not isinstance(score_set, ScoreSet):
-        raise ValidationError("score_set must be a ScoreSet")
-    if not isinstance(config, LossConfig):
-        raise ValidationError("config must be a LossConfig")
-    if form == GradientForm.ERROR_DRIVEN.value and not config.distance.is_smooth:
+def _evaluate(score_set: ScoreSet, config: LossConfig, form: GradientForm | None) -> LossResult:
+    """The loss under config, plus the gradient by `form` unless form is None."""
+    instance("score_set", score_set, ScoreSet)
+    instance("config", config, LossConfig)
+    if form is GradientForm.ERROR_DRIVEN and not config.distance.is_smooth:
         raise ValidationError(f"gradients need a sigmoid or ce-sigmoid distance, got {config.distance.kind.value}")
-    if form == GradientForm.AUTODIFF_CE.value and config.distance.kind is not DistanceKind.CE_SIGMOID:
+    if form is GradientForm.AUTODIFF_CE and config.distance.kind is not DistanceKind.CE_SIGMOID:
         raise ValidationError("autodiff-ce gradient needs the ce-sigmoid distance")
 
-    want_grad = form != _FORWARD
+    want_grad = form is not None
     scores = score_set.scores
     pos = score_set.positive_indices
     n = len(score_set)
@@ -240,7 +238,7 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
             continue
         # anchors add onto 0.0, so an anchor without pair mass reads +0.0, never -0.0;
         # np.add.at adds pairs one by one in row order, so each negative sums in anchor order
-        if form == GradientForm.ERROR_DRIVEN.value:
+        if form is GradientForm.ERROR_DRIVEN:
             masses = sigmoid_distance(pair_diffs, lam)
             grad[anchors] += -_row_sums(masses, counts, anchors) / b
             np.add.at(grad, pair_negs, masses / np.repeat(b, counts))
@@ -270,21 +268,22 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: str) -> LossResult:
 
 def evaluate_loss(score_set: ScoreSet, config: LossConfig) -> LossResult:
     """Forward evaluation under the configured distance; gradient is None."""
-    return _evaluate(score_set, config, _FORWARD)
+    return _evaluate(score_set, config, None)
 
 
 def gradient_error_driven(score_set: ScoreSet, config: LossConfig) -> LossResult:
     """Loss plus gradient via accumulated sigmoid error masses."""
-    return _evaluate(score_set, config, GradientForm.ERROR_DRIVEN.value)
+    return _evaluate(score_set, config, GradientForm.ERROR_DRIVEN)
 
 
 def gradient_autodiff_ce(score_set: ScoreSet, config: LossConfig) -> LossResult:
     """Loss plus gradient via the cross-entropy chain rule."""
-    return _evaluate(score_set, config, GradientForm.AUTODIFF_CE.value)
+    return _evaluate(score_set, config, GradientForm.AUTODIFF_CE)
 
 
 def evaluate_with_gradient(score_set: ScoreSet, config: LossConfig) -> LossResult:
     """Dispatch to the gradient form named in the config."""
+    instance("config", config, LossConfig)
     if config.gradient_form is GradientForm.AUTODIFF_CE:
         return gradient_autodiff_ce(score_set, config)
     return gradient_error_driven(score_set, config)

@@ -35,6 +35,9 @@ from .types import (
     Reduction,
     ScoreSet,
     ValidationError,
+    finite,
+    instance,
+    real,
 )
 
 BRUTE_FORCE_LIMIT = 2000
@@ -175,7 +178,9 @@ def _bf_forward(
     return BruteForceResult(total, per_anchor, grad)
 
 
-def _check_size(score_set: ScoreSet) -> None:
+def _check_inputs(score_set: ScoreSet, config: LossConfig) -> None:
+    instance("score_set", score_set, ScoreSet)
+    instance("config", config, LossConfig)
     if len(score_set) > BRUTE_FORCE_LIMIT:
         raise ValidationError(
             f"brute-force oracle refuses sets larger than {BRUTE_FORCE_LIMIT} "
@@ -190,7 +195,7 @@ def brute_force_loss(score_set: ScoreSet, config: LossConfig) -> BruteForceResul
     the gradient (None for the step distance) uses the error-mass form,
     matching either analytic gradient path.
     """
-    _check_size(score_set)
+    _check_inputs(score_set, config)
     scores = [float(s) for s in score_set.scores]
     pos = [int(i) for i in score_set.positive_indices]
     neg = [int(i) for i in score_set.negative_indices]
@@ -210,9 +215,9 @@ def finite_difference_gradient(
     are not differentiable and should not be probed. Ignore-labelled
     coordinates get gradient 0. epsilon must lie in [1e-9, 1e-3].
     """
-    _check_size(score_set)
-    epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and EPSILON_MIN <= epsilon <= EPSILON_MAX):
+    _check_inputs(score_set, config)
+    epsilon = real("epsilon", epsilon)
+    if not EPSILON_MIN <= epsilon <= EPSILON_MAX:
         raise ValidationError(
             f"epsilon must lie in [{EPSILON_MIN:g}, {EPSILON_MAX:g}], got {epsilon!r}"
         )
@@ -251,8 +256,7 @@ def gradient_check(
     Per-coordinate error is |analytic - fd| / max(|analytic|, |fd|, 1e-4);
     see the module docstring for why the denominator is floored.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValidationError(f"tolerance must be > 0, got {tolerance!r}")
+    tolerance = finite("tolerance", tolerance, gt=0)
     analytic = evaluate_with_gradient(score_set, config).gradient
     fd = finite_difference_gradient(score_set, config, epsilon)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), DENOMINATOR_FLOOR)
@@ -263,6 +267,6 @@ def gradient_check(
         max_rel_error=max_rel,
         worst_index=worst,
         epsilon=float(epsilon),
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         passed=bool(max_rel <= tolerance),
     )

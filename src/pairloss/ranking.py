@@ -21,13 +21,12 @@ scores alone, bit for bit, not on the order of the elements in the set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distance import _ramp
-from .types import FilterMode, Label, LossConfig, PairBudget, ScoreSet, ValidationError
+from .types import FilterMode, Label, LossConfig, PairBudget, ScoreSet, ValidationError, finite, instance, integer
 
 
 @dataclass(frozen=True)
@@ -53,16 +52,17 @@ def row_blocks(n_rows: int, width: int) -> list[slice]:
 
 def _check_anchors(score_set: ScoreSet, u) -> tuple[np.ndarray, bool]:
     """Anchor indices as a 1-D array, and whether u was a single index."""
+    instance("score_set", score_set, ScoreSet)
     scalar = np.ndim(u) == 0
-    anchors = np.atleast_1d(int(u) if scalar else np.asarray(u))
+    anchors = np.atleast_1d(integer("u", u) if scalar else np.asarray(u))
     if anchors.ndim != 1 or anchors.dtype.kind not in "iu":
-        raise ValidationError("anchors must be an index or a 1-D integer index array")
+        raise ValidationError("u must be an index or a 1-D integer index array")
     outside = (anchors < 0) | (anchors >= len(score_set))
     if outside.any():
-        raise ValidationError(f"anchor index {anchors[outside][0]} out of range for set of {len(score_set)}")
+        raise ValidationError(f"u holds index {anchors[outside][0]}, out of range for a set of {len(score_set)}")
     unlabelled = score_set.labels[anchors] != Label.POSITIVE
     if unlabelled.any():
-        raise ValidationError(f"anchor index {anchors[unlabelled][0]} is not labelled positive")
+        raise ValidationError(f"u holds index {anchors[unlabelled][0]}, which is not labelled positive")
     return anchors, scalar
 
 
@@ -83,8 +83,7 @@ def compute_ranks(score_set: ScoreSet, u, delta: float = 0.5):
     An int u gives two floats; an index array gives two arrays, one entry per anchor.
     """
     anchors, scalar = _check_anchors(score_set, u)
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValidationError(f"delta must be > 0, got {delta!r}")
+    delta = finite("delta", delta, gt=0)
     scores = score_set.scores
     pos = _by_score(score_set, Label.POSITIVE)
     row = scores[np.concatenate([pos, _by_score(score_set, Label.NEGATIVE)])]
@@ -101,11 +100,7 @@ def compute_ranks(score_set: ScoreSet, u, delta: float = 0.5):
 
 def valid_pair_indicator(p_u: float, p_v: float, threshold: float = 0.25) -> int:
     """1 when negative score p_v beats anchor score p_u by more than threshold."""
-    p_u, p_v, threshold = float(p_u), float(p_v), float(threshold)
-    if not (math.isfinite(p_u) and math.isfinite(p_v)):
-        raise ValidationError("scores must be finite")
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise ValidationError(f"threshold must be >= 0, got {threshold!r}")
+    p_u, p_v, threshold = finite("p_u", p_u), finite("p_v", p_v), finite("threshold", threshold, ge=0)
     return int(p_v - p_u > threshold)
 
 
@@ -117,8 +112,7 @@ def valid_negative_count(score_set: ScoreSet, u, threshold: float = 0.25):
     An int u gives an int; an index array gives an int64 array, one count per anchor.
     """
     anchors, scalar = _check_anchors(score_set, u)
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise ValidationError(f"threshold must be >= 0, got {threshold!r}")
+    threshold = finite("threshold", threshold, ge=0)
     s_u = score_set.scores[anchors]
     neg_scores = score_set.scores[_by_score(score_set, Label.NEGATIVE)]
     counts = np.zeros(anchors.size, dtype=np.int64)
@@ -138,8 +132,8 @@ def select_top_q_negatives(score_set: ScoreSet, budget: PairBudget) -> np.ndarra
     returns every negative in that order. The same selection serves every
     anchor.
     """
-    if not isinstance(budget, PairBudget):
-        raise ValidationError("budget must be a PairBudget")
+    instance("score_set", score_set, ScoreSet)
+    instance("budget", budget, PairBudget)
     return _by_score(score_set, Label.NEGATIVE)[: budget.q]
 
 
@@ -149,6 +143,7 @@ def balance_constant(score_set: ScoreSet, u: int, config: LossConfig) -> float |
     ranksum mode always yields a value >= 1 (the self term); negcount mode
     yields None when no negative clears the threshold.
     """
+    instance("config", config, LossConfig)
     if config.pair_filter.mode is FilterMode.RANK_SUM:
         rank_plus, rank_minus = compute_ranks(score_set, u, config.distance.delta)
         return rank_plus + rank_minus

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .types import ScoreSet, ValidationError, VALID_LABELS
+from .types import ScoreSet, ValidationError, VALID_LABELS, instance
 
 SCORE_FILE_HEADER = "index,score,label"
 
@@ -121,6 +121,7 @@ def read_score_file(path: str) -> ScoreSet:
 
 def write_score_file(path: str, score_set: ScoreSet) -> None:
     """Write a ScoreSet as a score CSV (inverse of read_score_file)."""
+    instance("score_set", score_set, ScoreSet)
     lines = [SCORE_FILE_HEADER]
     for i in range(len(score_set)):
         lines.append(f"{i},{format_float(float(score_set.scores[i]))},{int(score_set.labels[i])}")
@@ -139,13 +140,11 @@ def round_floats(obj):
     The rounded value re-parses exactly, which is what makes printed reports
     round-trip.
     """
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, float):
         return float(format_float(obj))
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(format_float(float(obj)))
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [round_floats(v) for v in obj.tolist()]

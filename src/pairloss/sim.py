@@ -28,17 +28,10 @@ from .types import (
     ScoreSet,
     UndefinedMetricError,
     ValidationError,
-    require_finite,
-    to_float,
+    finite,
+    instance,
+    integer,
 )
-
-
-def _check_count(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
-    if value < 0:
-        raise ValidationError(f"{name} must be >= 0, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -60,21 +53,21 @@ class GeneratorSpec:
     clamp: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must fit in 64 unsigned bits, got {self.seed}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "n_pos", _check_count("n_pos", self.n_pos))
-        object.__setattr__(self, "n_neg", _check_count("n_neg", self.n_neg))
+        seed = integer("seed", self.seed, 0)
+        if seed >= 2**64:
+            raise ValidationError(f"seed must fit in 64 unsigned bits, got {seed}")
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "n_pos", integer("n_pos", self.n_pos, 0))
+        object.__setattr__(self, "n_neg", integer("n_neg", self.n_neg, 0))
         for name in ("pos_mean", "pos_std", "neg_mean", "neg_std"):
-            value = require_finite(name, getattr(self, name))
-            if name.endswith("std") and value < 0:
-                raise ValidationError(f"{name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, finite(name, getattr(self, name), ge=0 if name.endswith("std") else None))
         if self.clamp is not None:
-            lo, hi = (to_float("clamp", v) for v in self.clamp)
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            try:
+                lo, hi = self.clamp
+            except (TypeError, ValueError):  # not a pair, which lo = hi refuses below
+                lo = hi = 0.0
+            lo, hi = finite("clamp", lo), finite("clamp", hi)
+            if not lo < hi:
                 raise ValidationError(f"clamp must be a finite [lo, hi] with lo < hi, got {self.clamp!r}")
             object.__setattr__(self, "clamp", (lo, hi))
 
@@ -115,8 +108,7 @@ class Trajectory:
 
 def generate_scores(spec: GeneratorSpec) -> ScoreSet:
     """Draw a labelled Gaussian score set: n_pos positives then n_neg negatives."""
-    if not isinstance(spec, GeneratorSpec):
-        raise ValidationError("spec must be a GeneratorSpec")
+    instance("spec", spec, GeneratorSpec)
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     try:
         pos = spec.pos_mean + spec.pos_std * rng.standard_normal(spec.n_pos)
@@ -143,7 +135,7 @@ def ranking_ap(score_set: ScoreSet) -> float:
     ascending index); ignore-labelled entries take no part in the ranking.
     AP is 1 exactly when every positive outscores every negative.
     """
-    labels = score_set.labels[score_set.order]
+    labels = instance("score_set", score_set, ScoreSet).labels[score_set.order]
     hits = (labels[labels != Label.IGNORE] == Label.POSITIVE).astype(np.float64)
     if not hits.any():
         raise UndefinedMetricError("ranking AP needs at least one positive")
@@ -167,7 +159,7 @@ def simulate_training(
     initial scores is a bad input and propagates as it is. A zero learning
     rate is allowed and yields a flat trajectory.
     """
-    if spec.n_pos < 1:
+    if instance("spec", spec, GeneratorSpec).n_pos < 1:
         raise ValidationError("simulation needs at least one positive")
     return descend_scores(generate_scores(spec), config, steps, learning_rate)
 
@@ -179,14 +171,9 @@ def descend_scores(
     learning_rate: float,
 ) -> Trajectory:
     """Gradient descent on an existing score set; see simulate_training."""
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise ValidationError(f"steps must be a positive integer, got {steps!r}")
-    if steps < 1:
-        raise ValidationError(f"steps must be >= 1, got {steps}")
-    learning_rate = to_float("learning_rate", learning_rate)
-    if not (math.isfinite(learning_rate) and learning_rate >= 0):
-        raise ValidationError(f"learning_rate must be finite and >= 0, got {learning_rate!r}")
-    if score_set.positive_indices.size < 1:
+    steps = integer("steps", steps, 1)
+    learning_rate = finite("learning_rate", learning_rate, ge=0)
+    if instance("score_set", score_set, ScoreSet).positive_indices.size < 1:
         raise ValidationError("descent needs at least one positive anchor")
 
     current = score_set

@@ -1,8 +1,16 @@
-"""Shared dataclasses, enums, and error types for the pairwise ranking loss.
+"""Shared dataclasses, enums, error types and argument checks for the pairwise ranking loss.
 
 Everything downstream (ranking, loss, oracle, sim, cli) builds on the types
 here. Configuration objects are frozen dataclasses that validate themselves on
 construction, so an instance that exists is an instance that is usable.
+
+The argument checks are the one place that says what a valid argument is,
+one helper per kind of value: `real` and `finite` for numbers, `integer`
+for counts and indices, `choice` for enum settings, `flag` for switches,
+`instance` for objects of a given class and `real_array` for arrays of
+numbers. bool and str are not numbers; Python and numpy integer and
+floating scalars are. Each failure is a ValidationError whose message
+starts with the argument's name, which the CLI maps to its setting key.
 """
 
 from __future__ import annotations
@@ -71,19 +79,69 @@ class Reduction(str, Enum):
     SUM = "sum"
 
 
-def to_float(name: str, value) -> float:
-    """float(value), with an integer too large for a double reported as a ValidationError naming `name`."""
+_REALS = (float, int, np.floating, np.integer)
+_INTEGERS = (int, np.integer)
+
+
+def real(name: str, value) -> float:
+    """value as a float: a Python or numpy float or integer that is not a bool, nor too large for a double."""
+    if isinstance(value, bool) or not isinstance(value, _REALS):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
         raise ValidationError(f"{name} is too large for a double") from None
 
 
-def require_finite(name: str, value) -> float:
-    value = to_float(name, value)
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
+def finite(name: str, value, *, gt: float | None = None, ge: float | None = None, note: str = "") -> float:
+    """A finite real(name, value), > gt or >= ge when given; a bound's message covers non-finite values too."""
+    value = real(name, value)
+    if not (math.isfinite(value) and (gt is None or value > gt) and (ge is None or value >= ge)):
+        rule = f"> {gt}" if gt is not None else f">= {ge}" if ge is not None else "finite"
+        raise ValidationError(f"{name} must be {rule}{note}, got {value!r}")
     return value
+
+
+def integer(name: str, value, minimum: int | None = None) -> int:
+    """value as an int: an integer that is not a bool, and >= minimum when given."""
+    if isinstance(value, bool) or not isinstance(value, _INTEGERS):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def flag(name: str, value) -> bool:
+    """value as a bool: True or False, as Python or numpy spells them."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
+
+
+def choice(name: str, value, enum: type[Enum]):
+    """The member of enum that value is, or whose value it is."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ValidationError(f"{name} must be one of {[m.value for m in enum]}, got {value!r}") from None
+
+
+def instance(name: str, value, cls: type):
+    """value itself, when it is an instance of cls."""
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def real_array(name: str, values) -> np.ndarray:
+    """values as a float64 array (no copy when they already are one); the dtype must be bool, integer or float."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting, which numpy can hold only as objects
+        arr = np.empty(0, dtype=object)
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} must be an array of bool, integer or float numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -91,7 +149,8 @@ class ScoreSet:
     """A batch of scores with {positive, negative, ignore} labels.
 
     Arrays are copied, cast to float64/int64, and frozen read-only. Scores
-    must be finite; labels must come from `Label`, checked before the cast.
+    must have a bool, integer or float dtype, checked before the cast, and
+    be finite; labels must come from `Label`, also checked before the cast.
     """
 
     scores: np.ndarray
@@ -99,7 +158,7 @@ class ScoreSet:
 
     def __post_init__(self) -> None:
         # copies, so no caller's array can change the scores under the cached order
-        scores = np.array(self.scores, dtype=np.float64)
+        scores = real_array("scores", self.scores).copy()
         labels = np.asarray(self.labels)
         if scores.ndim != 1 or labels.ndim != 1:
             raise ValidationError("scores and labels must be one-dimensional")
@@ -117,7 +176,7 @@ class ScoreSet:
         if not valid.all():
             bad = int(np.flatnonzero(~valid)[0])
             raise ValidationError(
-                f"label at index {bad} is {labels[bad].item()!r}, "
+                f"label at index {bad} is {labels.tolist()[bad]!r}, "
                 f"expected one of {sorted(VALID_LABELS)}"
             )
         labels = np.array(labels, dtype=np.int64)
@@ -163,8 +222,8 @@ class DistanceSpec:
     """Distance function selection plus its parameters.
 
     delta is the ramp half-width: the step distance's ramp and, under every
-    kind, the ramp of the smoothed ranks, so it is always validated. lam is
-    the sigmoid steepness and is validated only for the smooth kinds.
+    kind, the ramp of the smoothed ranks, so it must always be > 0. lam is
+    the sigmoid steepness; it must be a number, and > 0 for the smooth kinds.
     """
 
     kind: DistanceKind = DistanceKind.CE_SIGMOID
@@ -172,14 +231,12 @@ class DistanceSpec:
     lam: float = 8.0
 
     def __post_init__(self) -> None:
-        kind = DistanceKind(self.kind)
+        kind = choice("kind", self.kind, DistanceKind)
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "delta", to_float("delta", self.delta))
-        object.__setattr__(self, "lam", to_float("lam", self.lam))
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise ValidationError(f"delta must be > 0, got {self.delta!r}")
-        if self.is_smooth and not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValidationError(f"lam must be > 0 for {kind.value} distance, got {self.lam!r}")
+        object.__setattr__(self, "delta", finite("delta", self.delta, gt=0))
+        note = f" for {kind.value} distance"
+        lam = finite("lam", self.lam, gt=0, note=note) if self.is_smooth else real("lam", self.lam)
+        object.__setattr__(self, "lam", lam)
 
     @property
     def is_smooth(self) -> bool:
@@ -202,12 +259,9 @@ class FilterSpec:
     filter_numerator: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mode", FilterMode(self.mode))
-        threshold = require_finite("threshold", self.threshold)
-        if threshold < 0:
-            raise ValidationError(f"threshold must be >= 0, got {threshold!r}")
-        object.__setattr__(self, "threshold", threshold)
-        object.__setattr__(self, "filter_numerator", bool(self.filter_numerator))
+        object.__setattr__(self, "mode", choice("mode", self.mode, FilterMode))
+        object.__setattr__(self, "threshold", finite("threshold", self.threshold, ge=0))
+        object.__setattr__(self, "filter_numerator", flag("filter_numerator", self.filter_numerator))
 
 
 @dataclass(frozen=True)
@@ -222,13 +276,8 @@ class PairBudget:
     q: int | None = 100_000
 
     def __post_init__(self) -> None:
-        if self.q is None:
-            return
-        if isinstance(self.q, bool) or not isinstance(self.q, (int, np.integer)):
-            raise ValidationError(f"q must be a positive integer or None, got {self.q!r}")
-        if self.q < 1:
-            raise ValidationError(f"q must be >= 1, got {self.q}")
-        object.__setattr__(self, "q", int(self.q))
+        if self.q is not None:
+            object.__setattr__(self, "q", integer("q", self.q, 1))
 
     @classmethod
     def unlimited(cls) -> "PairBudget":
@@ -250,14 +299,11 @@ class LossConfig:
     reduction: Reduction = Reduction.MEAN_OVER_POSITIVES
 
     def __post_init__(self) -> None:
-        if not isinstance(self.distance, DistanceSpec):
-            raise ValidationError("distance must be a DistanceSpec")
-        if not isinstance(self.pair_filter, FilterSpec):
-            raise ValidationError("pair_filter must be a FilterSpec")
-        if not isinstance(self.budget, PairBudget):
-            raise ValidationError("budget must be a PairBudget")
-        object.__setattr__(self, "gradient_form", GradientForm(self.gradient_form))
-        object.__setattr__(self, "reduction", Reduction(self.reduction))
+        instance("distance", self.distance, DistanceSpec)
+        instance("pair_filter", self.pair_filter, FilterSpec)
+        instance("budget", self.budget, PairBudget)
+        object.__setattr__(self, "gradient_form", choice("gradient_form", self.gradient_form, GradientForm))
+        object.__setattr__(self, "reduction", choice("reduction", self.reduction, Reduction))
         if self.gradient_form is GradientForm.AUTODIFF_CE and self.distance.kind is not DistanceKind.CE_SIGMOID:
             raise ValidationError(
                 "gradient form autodiff-ce requires the ce-sigmoid distance, "

@@ -636,6 +636,16 @@ class TestConfigTypes:
         assert main(["simulate", "--config", str(path)]) == 3
         assert capsys.readouterr().err == f"validation error: {message}\n"
 
+    @pytest.mark.parametrize("key", [s.key for s in SETTINGS.values() if s.kind is cli.NUMBER])
+    def test_nan_names_every_number_setting(self, capsys, mixed_file, key):
+        # the library's message names its field; the CLI must turn each field into this setting's key
+        if SETTINGS[key].target is gradient_check:
+            argv = ["gradcheck", mixed_file]
+        else:
+            argv = ["simulate", "--n-pos", "2", "--n-neg", "3", "--steps", "1"]
+        assert main([*argv, "--" + key.replace("_", "-"), "nan"]) == 3
+        assert capsys.readouterr().err.startswith(f"validation error: {key} ")
+
 
 class TestLossDistance:
     @pytest.fixture

@@ -48,6 +48,7 @@ class TestScoreSet:
             ([1.0, -1.5], "label at index 1 is -1.5, expected one of [-1, 0, 1]"),
             (np.array([1, 2**63 + 5], dtype=np.uint64), "label at index 1 is 9223372036854775813, expected one of [-1, 0, 1]"),
             ([1, 2], "label at index 1 is 2, expected one of [-1, 0, 1]"),
+            ([1, 10**20], "label at index 1 is 100000000000000000000, expected one of [-1, 0, 1]"),
         ],
     )
     def test_labels_are_checked_before_the_cast(self, labels, message):
