@@ -2,8 +2,11 @@
 
 One SETTINGS row per setting: flag --<key>, config key <key>. Flags override
 a JSON config file (--config, or $PAIRLOSS_CONFIG); a setting neither names
-takes the library's default. Reports go to stdout (or --out) as JSON with
-floats rounded to 15 significant digits; curve output is two-column text.
+takes the library's default. A config value meets the library's own check
+of the field it fills, with the library's message; the CLI owns only how a
+flag is spelled, and "unlimited" and null for q and null for clamp. Reports
+go to stdout (or --out) as JSON with floats rounded to 15 significant
+digits; curve output is two-column text.
 
 Exit codes: 0 success, 1 check failed (gradcheck mismatch or diverged
 simulation), 2 parse error (bad file syntax, or a file that is not UTF-8),
@@ -21,13 +24,14 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .distance import distance_value
 from .loss import LossResult, evaluate_loss, evaluate_with_gradient
 from .oracle import gradient_check
-from .scorefile import ScoreFileError, format_float, read_score_file, read_text, render_report
+from .scorefile import ScoreFileError, format_float, read_score_file, read_text, render_report, write_text
 from .sim import GeneratorSpec, descend_scores, generate_scores, simulate_training
 from .types import (
     DistanceKind,
@@ -40,7 +44,10 @@ from .types import (
     PairBudget,
     Reduction,
     ValidationError,
+    choice,
+    flag,
     integer,
+    real,
 )
 
 CONFIG_ENV_VAR = "PAIRLOSS_CONFIG"
@@ -65,12 +72,14 @@ CURVE_FUNCTIONS = {
 
 @dataclass(frozen=True)
 class Kind:
-    """How a setting is spelled: keywords for its argparse flag, and the JSON values its config key takes."""
+    """How a setting is spelled and checked: keywords for its argparse flag, and check(key, value).
+
+    check is the library's own check of the field the setting fills, so a
+    config-file value meets the rule and the message a library caller does.
+    """
 
     flag: dict
-    json: str
-    accepts: Callable[[object], bool]
-    load: Callable[[object], object] = lambda value: value
+    check: Callable[[str, object], object]
 
 
 def _parse_q(text: str):
@@ -82,24 +91,17 @@ def _parse_q(text: str):
 
 
 def _choice(enum: type[Enum]) -> Kind:
-    values = [member.value for member in enum]
-    return Kind({"choices": values}, f"one of {values}", lambda value: value in values)
+    return Kind({"choices": [member.value for member in enum]}, partial(choice, enum=enum))
 
 
-# JSON values are exactly int, float, str, bool, None, list or dict, so `type(v) is int` excludes true and false
-NUMBER = Kind({"type": float}, "a number", lambda value: type(value) in (int, float))
-INTEGER = Kind({"type": int}, "an integer", lambda value: type(value) is int)
-SWITCH = Kind({"action": argparse.BooleanOptionalAction}, "true or false", lambda value: type(value) is bool)
-BUDGET = Kind(
-    {"type": _parse_q},
-    'an integer, null or "unlimited"',
-    lambda value: value in (None, "unlimited") or type(value) is int,
-    lambda value: None if value == "unlimited" else value,
-)
+NUMBER = Kind({"type": float}, real)
+INTEGER = Kind({"type": int}, integer)
+SWITCH = Kind({"action": argparse.BooleanOptionalAction}, flag)
+# the CLI's own spellings: "unlimited" and null for q, null for clamp; the constructors hold every other rule
+BUDGET = Kind({"type": _parse_q}, lambda key, value: PairBudget(None if value == "unlimited" else value).q)
 RANGE = Kind(
     {"type": float, "nargs": 2, "metavar": ("LO", "HI")},
-    "[lo, hi] or null",
-    lambda value: value is None or (type(value) is list and len(value) == 2 and all(map(NUMBER.accepts, value))),
+    lambda key, value: None if value is None else GeneratorSpec(clamp=value).clamp,
 )
 
 # the keywords of descend_scores and simulate_training that no library function gives a default
@@ -155,7 +157,7 @@ SWEEPS = {
 
 
 def load_config_file(path: str) -> dict:
-    """Read a JSON config file into {key: value}, each value checked against its setting's kind."""
+    """Read a JSON config file into {key: value}, each value as its setting's check returns it."""
     text = read_text(path, "config ")
     try:
         data = json.loads(text)
@@ -166,11 +168,7 @@ def load_config_file(path: str) -> dict:
     unknown = sorted(set(data) - set(SETTINGS))
     if unknown:
         raise ValidationError(f"config {path}: unknown keys {unknown}")
-    for key, value in data.items():
-        kind = SETTINGS[key].kind
-        if not kind.accepts(value):
-            raise ValidationError(f"config {path}: {key} must be {kind.json}, got {json.dumps(value)}")
-    return {key: SETTINGS[key].kind.load(value) for key, value in data.items()}
+    return {key: SETTINGS[key].kind.check(key, value) for key, value in data.items()}
 
 
 def given_settings(args: argparse.Namespace) -> dict:
@@ -198,11 +196,7 @@ def loss_config(given: dict) -> LossConfig:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        try:
-            with open(out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise ValidationError(f"cannot write --out {out}: {exc.strerror or exc}") from None
+        write_text(out, text, "--out ")
     else:
         sys.stdout.write(text)
 
@@ -243,7 +237,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "active_pairs": result.active_pairs,
         "warnings": warnings,
         "per_anchor": _stats_rows(result),
-        "gradient": None if result.gradient is None else result.gradient,
+        "gradient": result.gradient,
     }
     _emit(render_report(report), args.out)
     return EXIT_OK

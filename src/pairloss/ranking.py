@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import _ramp
-from .types import FilterMode, Label, LossConfig, PairBudget, ScoreSet, ValidationError, finite, instance, integer
+from .types import FilterMode, Label, LossConfig, PairBudget, ScoreSet, ValidationError, array, finite, instance, integer
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,10 @@ def row_blocks(n_rows: int, width: int) -> list[slice]:
 def _check_anchors(score_set: ScoreSet, u) -> tuple[np.ndarray, bool]:
     """Anchor indices as a 1-D array, and whether u was a single index."""
     instance("score_set", score_set, ScoreSet)
-    scalar = np.ndim(u) == 0
-    anchors = np.atleast_1d(integer("u", u) if scalar else np.asarray(u))
-    if anchors.ndim != 1 or anchors.dtype.kind not in "iu":
+    # np.ndim raises on a ragged list, so a list or tuple goes to array(), whose error names u
+    scalar = not isinstance(u, (list, tuple)) and np.ndim(u) == 0
+    anchors = np.atleast_1d(integer("u", u) if scalar else array("u", u, "iu"))
+    if anchors.ndim != 1:
         raise ValidationError("u must be an index or a 1-D integer index array")
     outside = (anchors < 0) | (anchors >= len(score_set))
     if outside.any():

@@ -8,8 +8,8 @@ order does not have to match index order.
 Structural problems (bad header, wrong column count, unparseable numbers,
 a byte that is not UTF-8) raise ScoreFileError with 1-based line and
 column; domain problems (non-finite score, unknown label, duplicate or
-missing index, a file that cannot be opened) raise ValidationError naming
-the row or file. The two map to different CLI exit codes.
+missing index, a file that cannot be read or written) raise ValidationError
+naming the row or file. The two map to different CLI exit codes.
 
 Reports are JSON with stable key names. Floats are rounded to 15
 significant digits before serialisation, so the printed text re-parses to
@@ -58,6 +58,18 @@ def read_text(path: str, what: str = "") -> str:
         message = f"{what}{path} is not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})"
         raise ScoreFileError(message, line, column) from None
     return _universal_newlines(text)
+
+
+def write_text(path: str, text: str, what: str = "") -> None:
+    """Write text to the file at path as UTF-8 with LF newlines, the mirror of read_text.
+
+    A path that cannot be written raises ValidationError naming `what` and the path.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {what}{path}: {exc.strerror or exc}") from None
 
 
 def _universal_newlines(text: str) -> str:
@@ -125,8 +137,7 @@ def write_score_file(path: str, score_set: ScoreSet) -> None:
     lines = [SCORE_FILE_HEADER]
     for i in range(len(score_set)):
         lines.append(f"{i},{format_float(float(score_set.scores[i]))},{int(score_set.labels[i])}")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def format_float(x: float) -> str:

@@ -7,10 +7,11 @@ construction, so an instance that exists is an instance that is usable.
 The argument checks are the one place that says what a valid argument is,
 one helper per kind of value: `real` and `finite` for numbers, `integer`
 for counts and indices, `choice` for enum settings, `flag` for switches,
-`instance` for objects of a given class and `real_array` for arrays of
-numbers. bool and str are not numbers; Python and numpy integer and
-floating scalars are. Each failure is a ValidationError whose message
-starts with the argument's name, which the CLI maps to its setting key.
+`instance` for objects of a given class, `array` for arrays of given
+dtype kinds and `real_array` for arrays of numbers. bool and str are not
+numbers; Python and numpy integer and floating scalars are. Each failure
+is a ValidationError whose message starts with the argument's name,
+which the CLI maps to its setting key.
 """
 
 from __future__ import annotations
@@ -133,15 +134,27 @@ def instance(name: str, value, cls: type):
     return value
 
 
-def real_array(name: str, values) -> np.ndarray:
-    """values as a float64 array (no copy when they already are one); the dtype must be bool, integer or float."""
+# the dtype kinds an array argument may take, and how a message names them
+_ARRAY_KINDS = {"biuf": "bool, integer or float numbers", "biufO": "numbers", "iu": "integers"}
+
+
+def array(name: str, values, kinds: str) -> np.ndarray:
+    """values as an array (no copy when they already are one) whose dtype kind is in kinds, a key of _ARRAY_KINDS.
+
+    Ragged nesting, which numpy refuses to hold, is refused whatever the kinds.
+    """
     try:
         arr = np.asarray(values)
-    except ValueError:  # ragged nesting, which numpy can hold only as objects
-        arr = np.empty(0, dtype=object)
-    if arr.dtype.kind not in "biuf":
-        raise ValidationError(f"{name} must be an array of bool, integer or float numbers, got dtype {arr.dtype}")
-    return arr.astype(np.float64, copy=False)
+    except ValueError:
+        raise ValidationError(f"{name} must be an array of {_ARRAY_KINDS[kinds]}, got ragged nesting") from None
+    if arr.dtype.kind not in kinds:
+        raise ValidationError(f"{name} must be an array of {_ARRAY_KINDS[kinds]}, got dtype {arr.dtype}")
+    return arr
+
+
+def real_array(name: str, values) -> np.ndarray:
+    """values as a float64 array (no copy when they already are one); the dtype must be bool, integer or float."""
+    return array(name, values, "biuf").astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -150,7 +163,8 @@ class ScoreSet:
 
     Arrays are copied, cast to float64/int64, and frozen read-only. Scores
     must have a bool, integer or float dtype, checked before the cast, and
-    be finite; labels must come from `Label`, also checked before the cast.
+    be finite; labels must be numbers from `Label`, also checked before
+    the cast. Ragged nesting of either is refused.
     """
 
     scores: np.ndarray
@@ -159,7 +173,8 @@ class ScoreSet:
     def __post_init__(self) -> None:
         # copies, so no caller's array can change the scores under the cached order
         scores = real_array("scores", self.scores).copy()
-        labels = np.asarray(self.labels)
+        # objects hold Python integers beyond int64, which the label check below names by index
+        labels = array("labels", self.labels, "biufO")
         if scores.ndim != 1 or labels.ndim != 1:
             raise ValidationError("scores and labels must be one-dimensional")
         if scores.shape != labels.shape:

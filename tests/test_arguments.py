@@ -167,6 +167,12 @@ def _rows():
         # strings, complex, an int beyond a double, ragged nesting, objects
         for bad in (["0.9", "0.1"], np.array([0.9 + 1j, 0.1]), [10**400, 0.1], [[0.9, 0.1], [0.5]], [None, 0.1]):
             yield f"{entry} {name}", call, bad, f"{name} {ARRAY_MESSAGE}"
+    # ragged nesting of the labels or of an anchor array, and an anchor array of floats
+    labels = lambda v: ScoreSet([0.1, 0.2], v)  # noqa: E731
+    yield "ScoreSet labels", labels, [[1], [0, 1]], "labels must be an array of numbers, got ragged nesting"
+    for entry, call in (("compute_ranks", compute_ranks), ("valid_negative_count", valid_negative_count)):
+        for bad, got in (([[0], [0, 1]], "ragged nesting"), ([0.0], "dtype float64")):
+            yield f"{entry} u", lambda v, f=call: f(SS, v), bad, f"u must be an array of integers, got {got}"
     yield "GeneratorSpec seed", lambda v: GeneratorSpec(seed=v), 2**64, "seed must fit in 64 unsigned bits"
     clamp = "clamp must be a finite [lo, hi] with lo < hi,"
     for bad in (5, (0,), (0, 1, 2), (1.0, 0.0)):

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from pairloss import (
 from pairloss import cli
 from pairloss.cli import CONFIG_ENV_VAR, SETTINGS, build_parser, given_settings, keywords, loss_config, main
 from pairloss.scorefile import round_floats
+from pairloss.types import ValidationError, choice, flag, integer, real
 
 from conftest import make_set
 
@@ -586,17 +588,48 @@ class TestSettingsTable:
         assert "--clamp LO HI" in capsys.readouterr().out
 
 
+# per kind of setting: one wrong-typed JSON value, and the library helper or constructor that rules on it
+WRONG_TYPED = [
+    (cli.NUMBER, "4", real),
+    (cli.INTEGER, 1.5, integer),
+    (cli.SWITCH, "false", flag),
+    (cli.BUDGET, "lots", lambda key, value: PairBudget(value)),
+    (cli.RANGE, [0, "1"], lambda key, value: GeneratorSpec(clamp=value)),
+]
+
+
 class TestConfigTypes:
+    @pytest.mark.parametrize("key", list(SETTINGS))
+    def test_config_value_error_is_the_library_message(self, capsys, tmp_path, equal_pair, key):
+        setting = SETTINGS[key]
+        check = setting.kind.check
+        if isinstance(check, partial):  # a choice, over the enum of the field it fills
+            enum = type(getattr(setting.target(), setting.field))
+            assert (check.func, check.keywords) == (choice, {"enum": enum})
+            value, library = ["x"], partial(choice, enum=enum)
+        else:
+            value, library = next((v, lib) for kind, v, lib in WRONG_TYPED if kind is setting.kind)
+            assert check is library or setting.kind in (cli.BUDGET, cli.RANGE)
+        with pytest.raises(ValidationError) as err:
+            check(key, value)
+        with pytest.raises(ValidationError) as expected:
+            library(key, value)
+        assert str(err.value) == str(expected.value)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
+        assert main(["eval", equal_pair, "--config", str(path)]) == 3
+        assert capsys.readouterr().err == f"validation error: {err.value}\n"
+
     @pytest.mark.parametrize(
         ("payload", "named"),
         [
-            ({"mode": "negcount", "filter_numerator": "false"}, "filter_numerator must be true or false"),
+            ({"mode": "negcount", "filter_numerator": "false"}, "filter_numerator must be True or False, got 'false'"),
             ({"lambda": True}, "lambda must be a number"),
             ({"lambda": "4"}, "lambda must be a number"),
-            ({"q": "lots"}, "q must be an integer, null or"),
-            ({"q": 2.5}, "q must be an integer, null or"),
+            ({"q": "lots"}, "q must be an integer, got 'lots'"),
+            ({"q": 2.5}, "q must be an integer, got 2.5"),
             ({"seed": 1.5}, "seed must be an integer"),
-            ({"clamp": [0, "1"]}, "clamp must be [lo, hi] or null"),
+            ({"clamp": [0, "1"]}, "clamp must be a number, got '1'"),
             ({"distance": "tanh"}, "distance must be one of"),
         ],
     )

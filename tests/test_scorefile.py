@@ -123,6 +123,10 @@ class TestWriteScoreFile:
             text = f.read()
         assert text == "index,score,label\n0,0.5,1\n1,0.25,0\n"
 
+    def test_unwritable_path(self):
+        with pytest.raises(ValidationError, match="^cannot write /nonexistent/x.csv: No such file or directory$"):
+            write_score_file("/nonexistent/x.csv", make_set([0.5, 0.25], [1, 0]))
+
 
 class TestReportRendering:
     def test_floats_round_trip_at_printed_precision(self):
