@@ -2,11 +2,12 @@
 
 One SETTINGS row per setting: flag --<key>, config key <key>. Flags override
 a JSON config file (--config, or $PAIRLOSS_CONFIG); a setting neither names
-takes the library's default. A config value meets the library's own check
-of the field it fills, with the library's message; the CLI owns only how a
-flag is spelled, and "unlimited" and null for q and null for clamp. Reports
-go to stdout (or --out) as JSON with floats rounded to 15 significant
-digits; curve output is two-column text.
+takes the library's default. Before it reads any input, every subcommand
+builds every target a setting fills (build), so each setting, from either
+source, meets the library's own rule with the library's message; the CLI
+owns only how a flag is spelled, and "unlimited" for q. Reports go to
+stdout (or --out) as JSON with floats rounded to 15 significant digits;
+curve output is two-column text.
 
 Exit codes: 0 success, 1 check failed (gradcheck mismatch or diverged
 simulation), 2 parse error (bad file syntax, or a file that is not UTF-8),
@@ -21,18 +22,16 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
 from .distance import distance_value
 from .loss import LossResult, evaluate_loss, evaluate_with_gradient
-from .oracle import gradient_check
+from .oracle import gradcheck_arguments, gradient_check
 from .scorefile import ScoreFileError, format_float, read_score_file, read_text, render_report, write_text
-from .sim import GeneratorSpec, descend_scores, generate_scores, simulate_training
+from .sim import GeneratorSpec, descend_scores, descent_arguments, generate_scores, simulate_training
 from .types import (
     DistanceKind,
     DistanceSpec,
@@ -44,10 +43,7 @@ from .types import (
     PairBudget,
     Reduction,
     ValidationError,
-    choice,
-    flag,
     integer,
-    real,
 )
 
 CONFIG_ENV_VAR = "PAIRLOSS_CONFIG"
@@ -70,18 +66,6 @@ CURVE_FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Kind:
-    """How a setting is spelled and checked: keywords for its argparse flag, and check(key, value).
-
-    check is the library's own check of the field the setting fills, so a
-    config-file value meets the rule and the message a library caller does.
-    """
-
-    flag: dict
-    check: Callable[[str, object], object]
-
-
 def _parse_q(text: str):
     """The --q flag and Q sweep values: an integer, or 'unlimited'."""
     try:
@@ -90,22 +74,16 @@ def _parse_q(text: str):
         raise argparse.ArgumentTypeError(f"q must be an integer or 'unlimited', got {text!r}") from None
 
 
-def _choice(enum: type[Enum]) -> Kind:
-    return Kind({"choices": [member.value for member in enum]}, partial(choice, enum=enum))
+def _choice(enum: type[Enum]) -> dict:
+    return {"choices": [member.value for member in enum]}
 
 
-NUMBER = Kind({"type": float}, real)
-INTEGER = Kind({"type": int}, integer)
-SWITCH = Kind({"action": argparse.BooleanOptionalAction}, flag)
-# the CLI's own spellings: "unlimited" and null for q, null for clamp; the constructors hold every other rule
-BUDGET = Kind({"type": _parse_q}, lambda key, value: PairBudget(None if value == "unlimited" else value).q)
-RANGE = Kind(
-    {"type": float, "nargs": 2, "metavar": ("LO", "HI")},
-    lambda key, value: None if value is None else GeneratorSpec(clamp=value).clamp,
-)
-
-# the keywords of descend_scores and simulate_training that no library function gives a default
-DESCENT_DEFAULTS = {"steps": 200, "learning_rate": 1.0}
+# the argparse keywords of each kind of flag; the targets hold every rule a value must meet
+NUMBER = {"type": float}
+INTEGER = {"type": int}
+SWITCH = {"action": argparse.BooleanOptionalAction}
+BUDGET = {"type": _parse_q}
+RANGE = {"type": float, "nargs": 2, "metavar": ("LO", "HI")}
 
 
 @dataclass(frozen=True)
@@ -115,7 +93,7 @@ class Setting:
     key: str
     target: object
     field: str
-    kind: Kind
+    kind: dict  # the flag's argparse keywords
     help: str
 
 
@@ -139,10 +117,10 @@ SETTINGS = {
         Setting("neg_mean", GeneratorSpec, "neg_mean", NUMBER, "mean of negative scores"),
         Setting("neg_std", GeneratorSpec, "neg_std", NUMBER, "spread of negative scores"),
         Setting("clamp", GeneratorSpec, "clamp", RANGE, "clip generated scores into [LO, HI]"),
-        Setting("steps", descend_scores, "steps", INTEGER, "descent steps"),
-        Setting("lr", descend_scores, "learning_rate", NUMBER, "learning rate"),
-        Setting("epsilon", gradient_check, "epsilon", NUMBER, "finite-difference step"),
-        Setting("tolerance", gradient_check, "tolerance", NUMBER, "gradcheck tolerance"),
+        Setting("steps", descent_arguments, "steps", INTEGER, "descent steps"),
+        Setting("lr", descent_arguments, "learning_rate", NUMBER, "learning rate"),
+        Setting("epsilon", gradcheck_arguments, "epsilon", NUMBER, "finite-difference step"),
+        Setting("tolerance", gradcheck_arguments, "tolerance", NUMBER, "gradcheck tolerance"),
     )
 }
 
@@ -157,7 +135,7 @@ SWEEPS = {
 
 
 def load_config_file(path: str) -> dict:
-    """Read a JSON config file into {key: value}, each value as its setting's check returns it."""
+    """Read a JSON config file into {key: value}, with "unlimited" for q read as None."""
     text = read_text(path, "config ")
     try:
         data = json.loads(text)
@@ -168,7 +146,7 @@ def load_config_file(path: str) -> dict:
     unknown = sorted(set(data) - set(SETTINGS))
     if unknown:
         raise ValidationError(f"config {path}: unknown keys {unknown}")
-    return {key: SETTINGS[key].kind.check(key, value) for key, value in data.items()}
+    return {key: None if key == "q" and value == "unlimited" else value for key, value in data.items()}
 
 
 def given_settings(args: argparse.Namespace) -> dict:
@@ -194,6 +172,16 @@ def loss_config(given: dict) -> LossConfig:
     return LossConfig(**parts, **keywords(given, LossConfig))
 
 
+def build(given: dict) -> tuple[LossConfig, GeneratorSpec, dict, dict]:
+    """Every target a setting fills: the loss config, the generator, and the descent and gradcheck keywords."""
+    return (
+        loss_config(given),
+        GeneratorSpec(**keywords(given, GeneratorSpec)),
+        descent_arguments(**keywords(given, descent_arguments)),
+        gradcheck_arguments(**keywords(given, gradcheck_arguments)),
+    )
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         write_text(out, text, "--out ")
@@ -217,7 +205,7 @@ def _stats_rows(result: LossResult) -> list[dict]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config = loss_config(given_settings(args))
+    config, *_ = build(given_settings(args))
     score_set = read_score_file(args.scores)
     if config.distance.is_smooth:
         result = evaluate_with_gradient(score_set, config)
@@ -244,10 +232,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    given = given_settings(args)
-    config = loss_config(given)
+    config, _, _, check = build(given_settings(args))
     score_set = read_score_file(args.scores)
-    report = gradient_check(score_set, config, **keywords(given, gradient_check))
+    report = gradient_check(score_set, config, **check)
     document = {
         "command": "gradcheck",
         "passed": report.passed,
@@ -262,7 +249,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     given = given_settings(args)
-    loss_config(given)  # the base fails before any descent runs
+    _, spec, descent, _ = build(given)
     parameter = {name.lower(): name for name in SWEEPS}.get(args.parameter.lower())
     if parameter is None:
         raise ValidationError(f"unknown sweep parameter {args.parameter!r}, expected one of {list(SWEEPS)}")
@@ -271,17 +258,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not parts:
         raise ValidationError("sweep needs at least one value")
     try:
-        values = [SETTINGS[key].kind.flag["type"](p) for p in parts]
+        values = [SETTINGS[key].kind["type"](p) for p in parts]
     except ValueError:
         raise ValidationError(f"sweep values for {parameter} must be numbers, got {args.values!r}") from None
-    if args.scores:
-        initial = read_score_file(args.scores)
-    else:
-        initial = generate_scores(GeneratorSpec(**keywords(given, GeneratorSpec)))
-    descent = {**DESCENT_DEFAULTS, **keywords(given, descend_scores)}
+    configs = [loss_config({**given, **fixed, key: value}) for value in values]
+    initial = read_score_file(args.scores) if args.scores else generate_scores(spec)
     rows = []
-    for value in values:
-        config = loss_config({**given, **fixed, key: value})
+    for value, config in zip(values, configs):
         trajectory = descend_scores(initial, config, **descent)
         first, last = trajectory.records[0], trajectory.records[-1]
         rows.append(
@@ -309,7 +292,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    given = given_settings(args)
+    config, *_ = build(given_settings(args))
     kind = CURVE_FUNCTIONS.get(args.function.lower())
     if kind is None:
         raise ValidationError(
@@ -319,7 +302,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     # a finite width needs finite ends, and linspace scales its steps by the width
     if not (math.isfinite(args.x_max - args.x_min) and args.x_min < args.x_max):
         raise ValidationError(f"need x_min < x_max with a finite width x_max - x_min, got [{args.x_min}, {args.x_max}]")
-    spec = DistanceSpec(**{**keywords(given, DistanceSpec), "kind": kind})
+    spec = replace(config.distance, kind=kind)
     try:
         xs = np.linspace(args.x_min, args.x_max, samples)
     except (MemoryError, ValueError):  # numpy refuses sizes beyond memory or the address space
@@ -331,10 +314,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    given = given_settings(args)
-    config = loss_config(given)
-    spec = GeneratorSpec(**keywords(given, GeneratorSpec))
-    descent = {**DESCENT_DEFAULTS, **keywords(given, descend_scores)}
+    config, spec, descent, _ = build(given_settings(args))
     trajectory = simulate_training(spec, config, **descent)
     document = {
         "command": "simulate",
@@ -365,7 +345,7 @@ def _add_command(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
     parser = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
     parser.add_argument("--config", default=None, help=f"JSON config file (default: ${CONFIG_ENV_VAR})")
     for s in SETTINGS.values():
-        parser.add_argument("--" + s.key.replace("_", "-"), help=s.help, **s.kind.flag)
+        parser.add_argument("--" + s.key.replace("_", "-"), help=s.help, **s.kind)
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
     parser.set_defaults(handler=handler)
     return parser

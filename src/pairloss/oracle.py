@@ -204,6 +204,18 @@ def brute_force_loss(score_set: ScoreSet, config: LossConfig) -> BruteForceResul
     return _bf_forward(scores, pos, neg, config, balance, False, want_gradient)
 
 
+def gradcheck_arguments(epsilon: float = 1e-6, tolerance: float = 1e-5) -> dict:
+    """The checked epsilon and tolerance of a gradient check, as keywords of gradient_check.
+
+    tolerance must be > 0 and epsilon must lie in [1e-9, 1e-3]; tolerance is checked first.
+    """
+    tolerance = finite("tolerance", tolerance, gt=0)
+    epsilon = real("epsilon", epsilon)
+    if not EPSILON_MIN <= epsilon <= EPSILON_MAX:
+        raise ValidationError(f"epsilon must lie in [{EPSILON_MIN:g}, {EPSILON_MAX:g}], got {epsilon!r}")
+    return {"epsilon": epsilon, "tolerance": tolerance}
+
+
 def finite_difference_gradient(
     score_set: ScoreSet, config: LossConfig, epsilon: float = 1e-6
 ) -> np.ndarray:
@@ -216,11 +228,7 @@ def finite_difference_gradient(
     coordinates get gradient 0. epsilon must lie in [1e-9, 1e-3].
     """
     _check_inputs(score_set, config)
-    epsilon = real("epsilon", epsilon)
-    if not EPSILON_MIN <= epsilon <= EPSILON_MAX:
-        raise ValidationError(
-            f"epsilon must lie in [{EPSILON_MIN:g}, {EPSILON_MAX:g}], got {epsilon!r}"
-        )
+    epsilon = gradcheck_arguments(epsilon)["epsilon"]
     if not config.distance.is_smooth:
         raise ValidationError("finite differences need a sigmoid or ce-sigmoid distance")
     scores = [float(s) for s in score_set.scores]
@@ -256,7 +264,7 @@ def gradient_check(
     Per-coordinate error is |analytic - fd| / max(|analytic|, |fd|, 1e-4);
     see the module docstring for why the denominator is floored.
     """
-    tolerance = finite("tolerance", tolerance, gt=0)
+    epsilon, tolerance = gradcheck_arguments(epsilon, tolerance).values()
     analytic = evaluate_with_gradient(score_set, config).gradient
     fd = finite_difference_gradient(score_set, config, epsilon)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), DENOMINATOR_FLOOR)
@@ -266,7 +274,7 @@ def gradient_check(
     return GradCheckReport(
         max_rel_error=max_rel,
         worst_index=worst,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         tolerance=tolerance,
         passed=bool(max_rel <= tolerance),
     )

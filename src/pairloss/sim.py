@@ -145,6 +145,11 @@ def ranking_ap(score_set: ScoreSet) -> float:
     return float(np.mean(precisions))
 
 
+def descent_arguments(steps: int = 200, learning_rate: float = 1.0) -> dict:
+    """The checked steps and learning_rate of a descent, as keywords of descend_scores and simulate_training."""
+    return {"steps": integer("steps", steps, 1), "learning_rate": finite("learning_rate", learning_rate, ge=0)}
+
+
 def simulate_training(
     spec: GeneratorSpec,
     config: LossConfig,
@@ -159,9 +164,10 @@ def simulate_training(
     initial scores is a bad input and propagates as it is. A zero learning
     rate is allowed and yields a flat trajectory.
     """
+    descent = descent_arguments(steps, learning_rate)
     if instance("spec", spec, GeneratorSpec).n_pos < 1:
         raise ValidationError("simulation needs at least one positive")
-    return descend_scores(generate_scores(spec), config, steps, learning_rate)
+    return descend_scores(generate_scores(spec), config, **descent)
 
 
 def descend_scores(
@@ -171,8 +177,7 @@ def descend_scores(
     learning_rate: float,
 ) -> Trajectory:
     """Gradient descent on an existing score set; see simulate_training."""
-    steps = integer("steps", steps, 1)
-    learning_rate = finite("learning_rate", learning_rate, ge=0)
+    steps, learning_rate = descent_arguments(steps, learning_rate).values()
     if instance("score_set", score_set, ScoreSet).positive_indices.size < 1:
         raise ValidationError("descent needs at least one positive anchor")
 

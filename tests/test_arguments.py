@@ -19,10 +19,12 @@ from pairloss import (
     ce_distance_grad_wrt_u,
     compute_ranks,
     descend_scores,
+    descent_arguments,
     evaluate_loss,
     evaluate_with_gradient,
     finite_difference_gradient,
     generate_scores,
+    gradcheck_arguments,
     gradient_autodiff_ce,
     gradient_check,
     gradient_error_driven,
@@ -75,6 +77,9 @@ NUMBERS = [
     ("finite_difference_gradient", "epsilon", lambda v: finite_difference_gradient(SS, CFG, v), "epsilon must lie", 1),
     ("gradient_check", "epsilon", lambda v: gradient_check(SS, CFG, epsilon=v), "epsilon must lie in", 1e-12),
     ("gradient_check", "tolerance", lambda v: gradient_check(SS, CFG, tolerance=v), "tolerance must be > 0", 0),
+    ("descent_arguments", "learning_rate", lambda v: descent_arguments(learning_rate=v), "learning_rate must be >= 0", -1),
+    ("gradcheck_arguments", "epsilon", lambda v: gradcheck_arguments(epsilon=v), "epsilon must lie in", 1),
+    ("gradcheck_arguments", "tolerance", lambda v: gradcheck_arguments(tolerance=v), "tolerance must be > 0", 0),
 ]
 
 # (entry, argument, call with the bad value, the smallest value allowed, or None where the set bounds it)
@@ -85,6 +90,7 @@ INTEGERS = [
     ("GeneratorSpec", "n_neg", lambda v: GeneratorSpec(n_neg=v), 0),
     ("descend_scores", "steps", lambda v: descend_scores(SS, CFG, v, 1.0), 1),
     ("simulate_training", "steps", lambda v: simulate_training(GeneratorSpec(**TINY), CFG, v, 1.0), 1),
+    ("descent_arguments", "steps", lambda v: descent_arguments(steps=v), 1),
     ("compute_ranks", "u", lambda v: compute_ranks(SS, v), None),
     ("valid_negative_count", "u", lambda v: valid_negative_count(SS, v), None),
     ("balance_constant", "u", lambda v: balance_constant(SS, v, CFG), None),

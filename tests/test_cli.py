@@ -7,7 +7,6 @@ import shlex
 import subprocess
 import sys
 from dataclasses import asdict
-from functools import partial
 from pathlib import Path
 
 import pytest
@@ -19,18 +18,19 @@ from pairloss import (
     LossConfig,
     PairBudget,
     descend_scores,
+    descent_arguments,
     evaluate_loss,
     evaluate_with_gradient,
     generate_scores,
-    gradient_check,
+    gradcheck_arguments,
     read_score_file,
     simulate_training,
     write_score_file,
 )
 from pairloss import cli
-from pairloss.cli import CONFIG_ENV_VAR, SETTINGS, build_parser, given_settings, keywords, loss_config, main
+from pairloss.cli import CONFIG_ENV_VAR, SETTINGS, build, build_parser, given_settings, main
 from pairloss.scorefile import round_floats
-from pairloss.types import ValidationError, choice, flag, integer, real
+from pairloss.types import ValidationError
 
 from conftest import make_set
 
@@ -307,6 +307,16 @@ class TestSweep:
         assert captured.err.startswith("run failed: loss evaluation failed at step 1: a score difference")
         assert captured.out == ""
 
+    def test_every_value_is_built_before_the_scores_are_generated(self, capsys, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("no descent may start before every value is built")
+
+        monkeypatch.setattr(cli, "generate_scores", spy)
+        monkeypatch.setattr(cli, "descend_scores", spy)
+        assert main(["sweep", "--parameter", "lambda", "--values=4,-1", *self.FAST]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "validation error: lambda must be > 0 for ce-sigmoid distance, got -1.0\n")
+
     def test_unknown_parameter_rejected(self, capsys):
         assert main(["sweep", "--parameter", "gamma", "--values", "1", *self.FAST]) == 3
         assert "unknown sweep parameter" in capsys.readouterr().err
@@ -536,13 +546,7 @@ SETTING_SAMPLES = [
 
 def built(argv):
     """Everything a run builds from its settings: the loss config, the generator and the run keywords."""
-    given = given_settings(build_parser().parse_args(argv))
-    return (
-        loss_config(given),
-        GeneratorSpec(**keywords(given, GeneratorSpec)),
-        keywords(given, descend_scores),
-        keywords(given, gradient_check),
-    )
+    return build(given_settings(build_parser().parse_args(argv)))
 
 
 class TestSettingsTable:
@@ -562,7 +566,7 @@ class TestSettingsTable:
         assert from_file != built(["simulate"])
 
     def test_no_settings_build_the_library_defaults(self):
-        assert built(["simulate"]) == (LossConfig(), GeneratorSpec(), {}, {})
+        assert built(["simulate"]) == (LossConfig(), GeneratorSpec(), descent_arguments(), gradcheck_arguments())
 
     def test_eval_without_flags_matches_the_library_bit_for_bit(self, capsys, mixed_file, monkeypatch):
         seen = []
@@ -588,38 +592,63 @@ class TestSettingsTable:
         assert "--clamp LO HI" in capsys.readouterr().out
 
 
-# per kind of setting: one wrong-typed JSON value, and the library helper or constructor that rules on it
-WRONG_TYPED = [
-    (cli.NUMBER, "4", real),
-    (cli.INTEGER, 1.5, integer),
-    (cli.SWITCH, "false", flag),
-    (cli.BUDGET, "lots", lambda key, value: PairBudget(value)),
-    (cli.RANGE, [0, "1"], lambda key, value: GeneratorSpec(clamp=value)),
+# (key, a value its rule refuses): every setting with a range
+OUT_OF_RANGE = [
+    ("lambda", -1.0),
+    ("delta", 0.0),
+    ("threshold", -1.0),
+    ("q", 0),
+    ("seed", -1),
+    ("n_pos", -1),
+    ("n_neg", -1),
+    ("pos_mean", float("nan")),
+    ("pos_std", -1.0),
+    ("neg_mean", float("nan")),
+    ("neg_std", -1.0),
+    ("clamp", [1.0, 0.0]),
+    ("steps", 0),
+    ("lr", -1.0),
+    ("epsilon", 1.0),
+    ("tolerance", 0.0),
 ]
+# per kind of flag: one config value of the wrong type; a choice gets ["x"]
+WRONG_TYPED = [(cli.NUMBER, "4"), (cli.INTEGER, 1.5), (cli.SWITCH, "false"), (cli.BUDGET, "lots"), (cli.RANGE, [0, "1"])]
+# (key, value, whether a flag can spell it): a wrong type cannot be spelled as a flag
+BAD_SETTINGS = [(key, value, True) for key, value in OUT_OF_RANGE] + [
+    (key, next((v for kind, v in WRONG_TYPED if kind is s.kind), ["x"]), False) for key, s in SETTINGS.items()
+]
+# every subcommand, with a score file that does not exist wherever one is read
+MISSING = "no-such-scores.csv"
+COMMANDS = {
+    "eval": ["eval", MISSING],
+    "gradcheck": ["gradcheck", MISSING],
+    "sweep": ["sweep", MISSING, "--parameter", "lambda", "--values", "4"],
+    "curve": ["curve", "--function", "CE"],
+    "simulate": ["simulate"],
+}
+
+
+class TestWholeRuleBeforeInput:
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    @pytest.mark.parametrize(("key", "value", "as_flag"), BAD_SETTINGS, ids=[f"{k}={v!r}" for k, v, _ in BAD_SETTINGS])
+    def test_bad_setting_exits_3_before_any_input_is_read(self, capsys, tmp_path, command, key, value, as_flag):
+        setting = SETTINGS[key]
+        with pytest.raises(ValidationError) as library:  # the message of building the target directly
+            setting.target(**{setting.field: value})
+        field, _, rest = str(library.value).partition(" ")
+        assert field == setting.field
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
+        runs = [[*COMMANDS[command], "--config", str(path)]]
+        if as_flag:
+            runs.append([*COMMANDS[command], "--" + key.replace("_", "-"), *map(str, value if key == "clamp" else [value])])
+        for argv in runs:
+            assert main(argv) == 3
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"validation error: {key} {rest}\n")
 
 
 class TestConfigTypes:
-    @pytest.mark.parametrize("key", list(SETTINGS))
-    def test_config_value_error_is_the_library_message(self, capsys, tmp_path, equal_pair, key):
-        setting = SETTINGS[key]
-        check = setting.kind.check
-        if isinstance(check, partial):  # a choice, over the enum of the field it fills
-            enum = type(getattr(setting.target(), setting.field))
-            assert (check.func, check.keywords) == (choice, {"enum": enum})
-            value, library = ["x"], partial(choice, enum=enum)
-        else:
-            value, library = next((v, lib) for kind, v, lib in WRONG_TYPED if kind is setting.kind)
-            assert check is library or setting.kind in (cli.BUDGET, cli.RANGE)
-        with pytest.raises(ValidationError) as err:
-            check(key, value)
-        with pytest.raises(ValidationError) as expected:
-            library(key, value)
-        assert str(err.value) == str(expected.value)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps({key: value}), encoding="utf-8")
-        assert main(["eval", equal_pair, "--config", str(path)]) == 3
-        assert capsys.readouterr().err == f"validation error: {err.value}\n"
-
     @pytest.mark.parametrize(
         ("payload", "named"),
         [
@@ -672,7 +701,7 @@ class TestConfigTypes:
     @pytest.mark.parametrize("key", [s.key for s in SETTINGS.values() if s.kind is cli.NUMBER])
     def test_nan_names_every_number_setting(self, capsys, mixed_file, key):
         # the library's message names its field; the CLI must turn each field into this setting's key
-        if SETTINGS[key].target is gradient_check:
+        if SETTINGS[key].target is gradcheck_arguments:
             argv = ["gradcheck", mixed_file]
         else:
             argv = ["simulate", "--n-pos", "2", "--n-neg", "3", "--steps", "1"]

@@ -22,6 +22,7 @@ from pairloss import (
     gradient_check,
     gradient_error_driven,
 )
+from pairloss import oracle
 
 from conftest import make_set, nondegenerate_set, random_score_set
 
@@ -233,3 +234,15 @@ class TestGradientCheck:
         ss = make_set([0.5, 0.45, 0.55], [1, 0, 0])
         report = gradient_check(ss, CE8, epsilon=1e-3, tolerance=1e-12)
         assert not report.passed
+
+    def test_arguments_are_checked_before_any_gradient_is_computed(self, monkeypatch):
+        def spy(score_set, config):
+            raise AssertionError("evaluate_with_gradient ran before the arguments were checked")
+
+        monkeypatch.setattr(oracle, "evaluate_with_gradient", spy)
+        ss = make_set([0.5, 0.45, 0.55], [1, 0, 0])
+        with pytest.raises(ValidationError, match="epsilon must lie in"):
+            gradient_check(ss, CE8, epsilon=-1)
+        # with both bad, tolerance is named first
+        with pytest.raises(ValidationError, match="tolerance must be > 0"):
+            gradient_check(ss, CE8, epsilon=-1, tolerance=0)

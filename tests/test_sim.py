@@ -16,6 +16,7 @@ from pairloss import (
     ranking_ap,
     simulate_training,
 )
+from pairloss import sim
 
 from conftest import make_set
 
@@ -248,3 +249,11 @@ class TestSimulateTraining:
             simulate_training(spec, CE8, 5, float("nan"))
         with pytest.raises(ValidationError):
             simulate_training(GeneratorSpec(seed=1, n_pos=0, n_neg=4), CE8, 5, 0.1)
+
+    def test_arguments_are_checked_before_any_score_is_drawn(self, monkeypatch):
+        def spy(spec):
+            raise AssertionError("generate_scores ran before the arguments were checked")
+
+        monkeypatch.setattr(sim, "generate_scores", spy)
+        with pytest.raises(ValidationError, match="steps must be >= 1"):
+            simulate_training(GeneratorSpec(n_neg=10**7), LossConfig(), 0, 1.0)
