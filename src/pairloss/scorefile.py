@@ -11,9 +11,18 @@ column; domain problems (non-finite score, unknown label, duplicate or
 missing index, a file that cannot be read or written) raise ValidationError
 naming the row or file. The two map to different CLI exit codes.
 
+A score file is read a column at a time: the body is split on commas and
+newlines once, and each column goes through int() or float() in one pass,
+so the accepted spellings are those of the builtins. Any anomaly (a field
+count, a spelling, an index, a score or a label) sends the whole text to
+the line parser, which is the reference reader and the only one that raises,
+so every error keeps its message, position and order.
+
 Reports are JSON with stable key names. Floats are rounded to 15
 significant digits before serialisation, so the printed text re-parses to
-exactly the printed values.
+exactly the printed values. The text is that of json.dumps(indent=2) on
+the rounded report; a 1-D float array at the top level is written straight
+from the array, which is what makes a large gradient cheap to render.
 """
 
 from __future__ import annotations
@@ -79,6 +88,54 @@ def _universal_newlines(text: str) -> str:
 def read_score_file(path: str) -> ScoreSet:
     """Parse a score CSV into a ScoreSet."""
     text = read_text(path)
+    score_set = _read_columns(text)
+    return _read_lines(text) if score_set is None else score_set
+
+
+def _read_columns(text: str) -> ScoreSet | None:
+    """The ScoreSet of a well-formed score file, read a column at a time; None on any anomaly.
+
+    Each field goes through the same int()/float() as in _read_lines, so the
+    two accept the same spellings. Anything this does not accept is left to
+    _read_lines, which finds the error and names its position.
+    """
+    header, _, body = text.partition("\n")
+    if header.strip() != SCORE_FILE_HEADER or not body:
+        return None
+    if not body.endswith("\n"):
+        body += "\n"
+    # every line holds exactly three fields when the separators read ",,\n" once per line;
+    # no byte of a multi-byte UTF-8 character is a comma or a newline
+    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
+    n = body.count("\n")
+    if raw[(raw == ord(",")) | (raw == ord("\n"))].tobytes() != b",,\n" * n:
+        return None
+    fields = body.replace("\n", ",").split(",")[:-1]
+    try:
+        indices = np.fromiter(map(int, fields[0::3]), dtype=np.int64, count=n)
+        scores = np.fromiter(map(float, fields[1::3]), dtype=np.float64, count=n)
+        labels = np.fromiter(map(int, fields[2::3]), dtype=np.int64, count=n)
+    except (ValueError, OverflowError):
+        return None
+    valid = (
+        (indices >= 0).all() and (indices < n).all()
+        and np.bincount(indices, minlength=n).max() == 1
+        and np.isfinite(scores).all()
+        and np.isin(labels, list(VALID_LABELS)).all()
+    )
+    if not valid:
+        return None
+    by_index = np.empty(n, dtype=np.int64)
+    by_index[indices] = np.arange(n)
+    return ScoreSet(scores=scores[by_index], labels=labels[by_index])
+
+
+def _read_lines(text: str) -> ScoreSet:
+    """Parse score file text line by line: the reference reader, and the one that raises.
+
+    Errors come in file order, each naming its 1-based line and column or
+    its row.
+    """
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -134,9 +191,8 @@ def read_score_file(path: str) -> ScoreSet:
 def write_score_file(path: str, score_set: ScoreSet) -> None:
     """Write a ScoreSet as a score CSV (inverse of read_score_file)."""
     instance("score_set", score_set, ScoreSet)
-    lines = [SCORE_FILE_HEADER]
-    for i in range(len(score_set)):
-        lines.append(f"{i},{format_float(float(score_set.scores[i]))},{int(score_set.labels[i])}")
+    rows = enumerate(zip(score_set.scores.tolist(), score_set.labels.tolist()))
+    lines = [SCORE_FILE_HEADER, *(f"{i},{format_float(score)},{label}" for i, (score, label) in rows)]
     write_text(path, "\n".join(lines) + "\n")
 
 
@@ -157,6 +213,8 @@ def round_floats(obj):
         return float(format_float(float(obj)))
     if isinstance(obj, np.integer):
         return int(obj)
+    if isinstance(obj, np.bool_):
+        return bool(obj)
     if isinstance(obj, np.ndarray):
         return [round_floats(v) for v in obj.tolist()]
     if isinstance(obj, dict):
@@ -167,5 +225,41 @@ def round_floats(obj):
 
 
 def render_report(report: dict) -> str:
-    """Serialise a report dict as indented JSON with rounded floats."""
-    return json.dumps(round_floats(report), indent=2) + "\n"
+    """Serialise a report dict as indented JSON with rounded floats.
+
+    The text is json.dumps(round_floats(report), indent=2) plus a newline.
+    Each top-level value is rendered on its own: a 1-D array of finite
+    float64 values is written an element at a time from the array, and
+    every other value goes through json.dumps, indented one level.
+    """
+    items = {str(key): value for key, value in report.items()}
+    if not items:
+        return "{}\n"
+    lines = [f"  {json.dumps(key)}: {_render_value(value)}" for key, value in items.items()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def _render_value(value) -> str:
+    """A top-level report value as json.dumps(round_floats(value), indent=2) writes it one level in."""
+    texts = _float_texts(value)
+    if texts is None:
+        return json.dumps(round_floats(value), indent=2).replace("\n", "\n  ")
+    return "[\n    " + ",\n    ".join(texts) + "\n  ]"
+
+
+def _float_texts(value) -> list[str] | None:
+    """json's text of each rounded entry of a non-empty 1-D float64 array; None for any other value.
+
+    A zero is written by its sign and any other entry as the repr of its
+    rounded value. An entry that is or rounds to NaN or ±inf gives None, so
+    that json spells it.
+    """
+    if not (isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64 and value.size):
+        return None
+    nonzero = np.flatnonzero(value)
+    rounded = [float(format_float(x)) for x in value[nonzero].tolist()]
+    if not np.isfinite(rounded).all():
+        return None
+    texts = np.array(["0.0", "-0.0"], dtype=object)[np.signbit(value).view(np.uint8)]
+    texts[nonzero] = [repr(x) for x in rounded]
+    return texts.tolist()
