@@ -13,14 +13,36 @@ a constant under differentiation. Two modes:
 
 Every reader here walks the set's one score order, ScoreSet.order
 (descending score, ties by ascending index): the top-q selection is a
-prefix of the negatives in it, valid counts bisect their descending
-scores, and each anchor's ranks sum one row of the positives' then the
-negatives' scores in it. So selections, counts and ranks depend on the
-scores alone, bit for bit, not on the order of the elements in the set.
+prefix of the negatives in it, and a valid count or an edge of a rank's
+ramp window is a count of leading scores in it, bracketed by
+np.searchsorted and settled by the predicate itself. So selections,
+counts and ranks depend on the scores alone, bit for bit, not on the order
+of the elements in the set.
+
+Ranks from exact window sums. The ramp is 0 below its window, 1 above it
+and linear inside it, so
+
+    rank = (scores above the window) + sum over the window of (t - s_u + delta) / (2 delta).
+
+The ramp's own float predicate on each rounded difference t - s_u decides
+which scores lie above, inside or below, as a pairwise scan would. The
+window sum comes from prefix sums over the order: each score is split twice
+by ExtractScalar (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008) on
+a power-of-two grid set by its binade's group, and the first two levels of the
+split, their prefix sums and each window's sum minus k (s_u - delta) are
+exact. Only the third level, the bits below the grid, and the final
+combination round. So a rank is the exact ramp sum, rounded within the
+bound that compute_ranks states, in O(n log n) for n scores (Joachims,
+ICML 2005, computes pairwise rank losses by sorting in the same way). On a
+lattice (scores and delta multiples of 2**-p below 2**q, q + p + 2m <= 100
+with 2**m >= 4 (n + 2)) no score has bits below its grid, so each rank is
+the exact ramp sum rounded by one fixed sequence of roundings, and shifting
+every score along the lattice leaves the ranks bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +63,11 @@ class RankStats:
     active_pairs: int
 
 
+_LARGEST = float(np.finfo(np.float64).max)
+_POSITIVE, _NEGATIVE = int(Label.POSITIVE), int(Label.NEGATIVE)  # plain ints compare faster than the enum
+_GROUP_SHIFT = np.array([[3], [1]], dtype=np.int32)  # with _GROUP_OFFSET, the groups' top exponents; see compute_ranks
+_GROUP_OFFSET = np.array([[0], [2]], dtype=np.int32)
+_GROUP_SHIFT.flags.writeable = _GROUP_OFFSET.flags.writeable = False
 BLOCK_DOUBLES = 1 << 16  # most doubles one block of anchor rows holds, so memory stays bounded
 
 
@@ -58,10 +85,10 @@ def _check_anchors(score_set: ScoreSet, u) -> tuple[np.ndarray, bool]:
     anchors = np.atleast_1d(integer("u", u) if scalar else array("u", u, "iu"))
     if anchors.ndim != 1:
         raise ValidationError("u must be an index or a 1-D integer index array")
-    outside = (anchors < 0) | (anchors >= len(score_set))
+    outside = anchors.astype(np.uint64) >= len(score_set)  # a negative index wraps past every length
     if outside.any():
         raise ValidationError(f"u holds index {anchors[outside][0]}, out of range for a set of {len(score_set)}")
-    unlabelled = score_set.labels[anchors] != Label.POSITIVE
+    unlabelled = score_set.labels[anchors] != _POSITIVE
     if unlabelled.any():
         raise ValidationError(f"u holds index {anchors[unlabelled][0]}, which is not labelled positive")
     return anchors, scalar
@@ -69,7 +96,58 @@ def _check_anchors(score_set: ScoreSet, u) -> tuple[np.ndarray, bool]:
 
 def _by_score(score_set: ScoreSet, label: Label) -> np.ndarray:
     """Indices labelled `label`, in the set's score order: descending score, ties by ascending index."""
-    return score_set.order[score_set.labels[score_set.order] == label]
+    return score_set.order[score_set.labels[score_set.order] == int(label)]
+
+
+def _leading_counts(ascending: np.ndarray, s_u: np.ndarray, offset, width: float, holds) -> np.ndarray:
+    """Per query, how many leading scores of a descending row satisfy holds.
+
+    ascending is the row negated, the form np.searchsorted reads. The queries
+    are the entries of s_u + offset (broadcast), with |offset| <= width: query
+    i asks about the edge near its centre s_u + offset, and holds(t, i) tests
+    scores t against the queries i (flat indices) and must be true on a prefix
+    of the row. Rounding moves an edge by a few ulp of |s_u| + width, so every
+    score above the centre by the slack 2^-40 (|centre| + 2 width) holds and
+    every score below it by as much fails: searchsorted brackets each count,
+    and the scores between the brackets are settled by bisection that steps
+    over a whole tie block at a time, so a count never splits a tie.
+    """
+    with np.errstate(over="ignore"):
+        # clamped, an overflowing centre still brackets its edge: no finite score lies beyond the largest double
+        centre = np.minimum(np.maximum(s_u + offset, -_LARGEST), _LARGEST)
+        slack = 2.0**-40 * (np.abs(centre) + (2.0 * width + 2.0**-960))
+        centre = -centre
+        found = np.searchsorted(ascending, np.concatenate([centre - slack, centre + slack]), "right")
+    counts, limits = found.reshape(2, -1)
+    unsettled = (counts < limits).nonzero()[0]
+    while unsettled.size:
+        middle = ascending[(counts[unsettled] + limits[unsettled]) // 2]
+        ok = holds(-middle, unsettled)
+        # past the middle score's tie block when it holds, before it when it fails (-inf is before them all)
+        with np.errstate(over="ignore"):
+            below = np.nextafter(middle, -np.inf)
+        edge = np.searchsorted(ascending, np.where(ok, middle, below), "right")
+        counts[unsettled] = np.where(ok, edge, counts[unsettled])
+        limits[unsettled] = np.where(ok, limits[unsettled], edge)
+        unsettled = unsettled[counts[unsettled] < limits[unsettled]]
+    return counts.reshape(centre.shape)
+
+
+def _levels(x: np.ndarray, top: float):
+    """ExtractScalar twice (Rump, Ogita & Oishi 2008): three parts of x that sum to x exactly.
+
+    With top = 2**(106 - m) and |x| < 2**(106 - 2m), the first part holds
+    multiples of 2**(53 - m), the second integers of magnitude at most
+    2**(53 - m) + 1 and the third the rest, of magnitude at most 1. The parts
+    come one at a time, in one buffer that the next part overwrites, so that
+    a caller holds one extra array of x's size; x is overwritten.
+    """
+    part = np.empty_like(x)
+    for level_top in (top, 2.0**53):
+        np.subtract(np.add(x, level_top, out=part), level_top, out=part)
+        np.subtract(x, part, out=x)
+        yield part
+    yield x
 
 
 def compute_ranks(score_set: ScoreSet, u, delta: float = 0.5):
@@ -78,24 +156,84 @@ def compute_ranks(score_set: ScoreSet, u, delta: float = 0.5):
     rank+ = 1 + sum over other positives of H(score[p] - score[u]);
     rank- = sum over all negatives of H(score[n] - score[u]).
     The leading 1 is the anchor's own contribution, so rank+ >= 1 always.
-    Each anchor scans one row, the positives' then the negatives' scores in
-    the set's score order, so the ranks depend on the scores alone, not on
-    their order in the set; a difference that overflows counts 1 or 0.
+    H is the ramp of distance.step_distance. A score counts 1 (or 0) where
+    the ramp of its rounded difference to the anchor reads 1 (or 0), so a
+    difference that overflows counts as the ramp's limit; a score inside the
+    ramp's window adds its exact (t - score[u] + delta) / (2 delta). With
+    eps = 2**-53, n = len(score_set) and R the exact rank so defined,
+
+        |rank - R| <= 5 eps R + eps (n + 2)**4 (|score[u]| / delta + 2) 2**-96.
+
+    The ranks read the scores through the set's one order only, so they
+    depend on the scores alone, bit for bit, not on the order of the
+    elements in the set. The brute-force oracle, a pairwise scan, agrees to
+    1e-12 and decides disputes.
     An int u gives two floats; an index array gives two arrays, one entry per anchor.
     """
     anchors, scalar = _check_anchors(score_set, u)
     delta = finite("delta", delta, gt=0)
-    scores = score_set.scores
-    pos = _by_score(score_set, Label.POSITIVE)
-    row = scores[np.concatenate([pos, _by_score(score_set, Label.NEGATIVE)])]
-    ranks = np.empty((2, anchors.size))
-    for rows in row_blocks(anchors.size, row.size):
-        # finite scores can differ by more than a double holds; the ramp reads the +-inf as its limit
+    order = score_set.order
+    row = score_set.scores[order]
+    s_u = score_set.scores[anchors]
+
+    def inside(t, rows):
         with np.errstate(over="ignore"):
-            ramps = _ramp(row - scores[anchors[rows], None], delta)
-        # the anchor's own ramp H(0) = 1/2 stays in its row; the other half completes the self term
-        ranks[0, rows] = 0.5 + np.sum(ramps[:, : pos.size], axis=1)
-        ranks[1, rows] = np.sum(ramps[:, pos.size :], axis=1)
+            ramp = _ramp(t - s_u[rows % s_u.size], delta)
+        return np.where(rows < s_u.size, ramp == 1, ramp > 0)
+
+    # the anchor's window: the first edges[0] scores of the order have ramp 1, the first edges[1] ramp > 0
+    edges = _leading_counts(-row, s_u, np.array([[delta], [-delta]]), delta, inside)
+    # every score t lies below 2**c, c = exponent(max(|t|, delta)), and one window's scores span at most three
+    # consecutive c. So one of two groupings of the c by fours holds each window in one group, whose top
+    # exponent e sets the window's grid: the units 2**(e + 2m - 106), in which the first two split levels are
+    # integers, and their prefix sums and the window sums below exact
+    c = np.frexp(np.maximum(np.abs(row), delta))[1]
+    window_c = np.maximum(c[edges[0]], c[edges[1] - 1])
+    # the one group of [window_c - 2, window_c] tops at window_c rounded up to even
+    window_e = (window_c + 1) & -2
+    grouping = (window_e >> 1) & 1
+
+    # each label's scores in the order form one block of by_label, after a leading slot that holds 0, so a
+    # window is a range of each block, at[label, edge], and a prefix sum at j sums the first j entries
+    labels = score_set.labels[order]
+    positives = np.flatnonzero(labels == _POSITIVE)
+    by_label = np.concatenate([[0], positives, np.flatnonzero(labels == _NEGATIVE)])
+    n_pos = positives.size
+    blocks = by_label[1 : n_pos + 1], by_label[n_pos + 1 :]
+    at = np.concatenate([blocks[0].searchsorted(edges), blocks[1].searchsorted(edges) + n_pos]).reshape(2, 2, -1)
+    m = (4 * len(score_set) + 7).bit_length()  # 2**m >= 4 (n + 2)
+    top = 2.0 ** (106 - m)
+    # the top exponent of c's group: (c + 3) & -4 in one grouping, ((c + 1) & -4) + 2 in the other
+    grid = c[by_label] + _GROUP_SHIFT
+    grid &= -4
+    np.subtract((106 - 2 * m) - _GROUP_OFFSET, grid, out=grid)
+    entries = row[by_label]
+    entries[0] = 0.0
+    del labels, positives, by_label, blocks, row, c  # so that the set-sized arrays do not pile up
+    # the prefix sums of each level under both groupings, read at each window's edges under its grouping
+    flat = grouping * entries.size + at
+    window = np.empty((3, 2, 2, s_u.size))
+    for level, part in enumerate(_levels(np.ldexp(entries, grid), top)):
+        np.take(np.cumsum(part, axis=1, out=part), flat, out=window[level])
+    del entries, grid
+
+    # s_u - delta on the window's grid: the anchor's parts equal those of its own entry. delta's first two
+    # levels go into the exact window sums; the rest of delta, below the grid, counts on its own, so a
+    # delta far below the grid of the scores near s_u still counts in full
+    window_grid = (106 - 2 * m) - window_e
+    x = np.empty((2, s_u.size))
+    x[0], x[1] = s_u, delta
+    parts = np.empty((3, 2, s_u.size))
+    for level, part in enumerate(_levels(np.ldexp(x, window_grid, out=x), top)):
+        parts[level] = part
+    below_grid = 0.5 * ((delta - np.ldexp(parts[0, 1] + parts[1, 1], -window_grid)) / delta)
+    offsets = parts[:, 0] - parts[:, 1]
+    offsets[2] = parts[2, 0]
+    k = at[:, 1] - at[:, 0]
+    total = (window[:, :, 1] - window[:, :, 0]) - k * offsets[:, None]
+    mantissa, exponent = math.frexp(delta)
+    inner = np.ldexp(((total[0] + total[1]) + total[2]) / (2 * mantissa), -window_grid - exponent) + k * below_grid
+    ranks = (at[:, 0] + [[0.5], [-n_pos]]) + inner
     return tuple(ranks[:, 0].tolist()) if scalar else tuple(ranks)
 
 
@@ -109,19 +247,19 @@ def valid_negative_count(score_set: ScoreSet, u, threshold: float = 0.25):
     """Number of negatives t forming a valid error pair with anchor u: t - score[u] > threshold.
 
     The rounded difference is monotone in t, so the valid negatives are the highest-scoring
-    ones, and a binary search of the negatives in the set's score order finds each anchor's count.
+    ones, and each count is a count of leading negatives in the set's score order.
     An int u gives an int; an index array gives an int64 array, one count per anchor.
     """
     anchors, scalar = _check_anchors(score_set, u)
     threshold = finite("threshold", threshold, ge=0)
     s_u = score_set.scores[anchors]
-    neg_scores = score_set.scores[_by_score(score_set, Label.NEGATIVE)]
-    counts = np.zeros(anchors.size, dtype=np.int64)
-    # counts grow by powers of two while the predicate holds; an overflow to +-inf compares correctly
-    with np.errstate(over="ignore"):
-        for bit in reversed(range(neg_scores.size.bit_length())):
-            wider = np.minimum(counts + (1 << bit), neg_scores.size)
-            counts = np.where(neg_scores[wider - 1] - s_u > threshold, wider, counts)
+    ascending = -score_set.scores[_by_score(score_set, Label.NEGATIVE)]
+
+    def valid(t, rows):
+        with np.errstate(over="ignore"):  # an overflow to +-inf compares correctly
+            return t - s_u[rows] > threshold
+
+    counts = _leading_counts(ascending, s_u, threshold, threshold, valid)
     return int(counts[0]) if scalar else counts
 
 

@@ -196,9 +196,18 @@ def write_score_file(path: str, score_set: ScoreSet) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
+# the 15-digit texts past the largest double, and the nearest texts toward zero
+_TOWARD_ZERO = {"1.79769313486232e+308": "1.79769313486231e+308", "-1.79769313486232e+308": "-1.79769313486231e+308"}
+
+
 def format_float(x: float) -> str:
-    """Render a float with 15 significant digits."""
-    return f"{x:.15g}"
+    """Render a float with 15 significant digits.
+
+    A finite value whose nearest 15-digit text lies beyond the largest
+    double rounds toward zero instead, so every finite value reads back finite.
+    """
+    text = f"{x:.15g}"
+    return _TOWARD_ZERO.get(text, text)
 
 
 def round_floats(obj):

@@ -26,6 +26,7 @@ from pairloss import (
     ValidationError,
     brute_force_loss,
     ce_distance,
+    compute_ranks,
     evaluate_loss,
     evaluate_with_gradient,
     generate_scores,
@@ -535,6 +536,19 @@ class TestMemory:
         assert result.active_pairs == 300 * 20000
         # a few block-sized temporaries plus O(n) per-set arrays; the full matrix would be 48 MB
         assert peak < 10 * ranking.BLOCK_DOUBLES * 8 + 16 * len(ss) * 8
+
+    def test_rank_memory_is_linear_in_the_set(self):
+        # the ranks read every positive-negative pair whatever the budget: 2 000 x 50 000 ramp values would take 800 MB
+        ss = generate_scores(GeneratorSpec(seed=36, n_pos=2000, n_neg=50000))
+        tracemalloc.start()
+        try:
+            plus, minus = compute_ranks(ss, ss.positive_indices, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plus.shape == minus.shape == (2000,) and (plus >= 1).all()
+        # the cached order and a few set-sized arrays: the prefix sums go one split level at a time
+        assert peak < 12 * 8 * len(ss)
 
 
 class TestArgumentErrors:

@@ -1,5 +1,7 @@
 """Rank statistics, filtering, truncation, and balance constant tests."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,8 @@ from pairloss import (
     valid_negative_count,
     valid_pair_indicator,
 )
+from pairloss import ranking
+from pairloss.distance import _ramp
 
 from conftest import make_set, random_score_set
 
@@ -391,3 +395,111 @@ class TestNaiveReference:
             neg = [int(i) for i in ss.negative_indices]
             expected = sorted(neg, key=lambda i: (-float(ss.scores[i]), i))[:q]
             assert select_top_q_negatives(ss, PairBudget(q)).tolist() == expected
+
+
+EPS = Fraction(1, 2**53)
+
+
+def _exact_ranks(ss, u, delta):
+    """(rank+, rank-) as Fractions: a score counts 1 (or 0) where the ramp of its rounded difference to
+    the anchor reads 1 (or 0), as in a pairwise scan, and adds its exact ramp value inside the window."""
+    s_u = float(ss.scores[u])
+    ranks = {1: Fraction(1, 2), 0: Fraction(0)}
+    for t, label in zip(ss.scores.tolist(), ss.labels.tolist()):
+        if label in ranks:
+            ramp = 0.5 + 0.5 * ((t - s_u) / delta)  # Python floats: an overflow reads +-inf
+            inside = (Fraction(t) - Fraction(s_u) + Fraction(delta)) / (2 * Fraction(delta))
+            ranks[label] += 1 if ramp >= 1 else 0 if ramp <= 0 else inside
+    return ranks[1], ranks[0]
+
+
+def _rank_bound(exact, n, s_u, delta):
+    """The error bound compute_ranks states: 5 eps R + eps (n + 2)**4 (|s_u| / delta + 2) 2**-96."""
+    return 5 * EPS * exact + EPS * (n + 2) ** 4 * (abs(Fraction(s_u)) / Fraction(delta) + 2) / 2**96
+
+
+class TestExactReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        blocks=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.integers(-24, 24).map(lambda k: k / 8.0),  # eighth points: ties on every window edge
+                    st.floats(-3.0, 3.0),
+                    st.sampled_from([1e308, -1e308]),  # differences overflow to +-inf
+                    st.sampled_from([1e-30, -3e-200, 0.5 + 2**-60]),  # bits below the window's grid
+                ),
+                st.lists(st.sampled_from([1, 1, 0, -1]), min_size=1, max_size=12),  # one tie block
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        offset=st.sampled_from([0.0, 1e3, 1e6, -1e6]),
+        delta=st.sampled_from([0.125, 0.5, 3.0]),
+    )
+    def test_ranks_hold_the_stated_bound(self, blocks, offset, delta):
+        scores = [value + offset for value, block in blocks for _ in block]
+        labels = [label for _, block in blocks for label in block]
+        labels[0] = 1
+        ss = make_set(scores, labels)
+        plus, minus = compute_ranks(ss, ss.positive_indices, delta)
+        for i, u in enumerate(ss.positive_indices):
+            s_u = ss.scores[u]
+            for got, exact in zip((plus[i], minus[i]), _exact_ranks(ss, int(u), delta)):
+                assert abs(Fraction(float(got)) - exact) <= _rank_bound(exact, len(ss), s_u, delta)
+
+    def test_bits_below_the_windows_grid_count(self):
+        # the anchor's window tops at 1, and its grid is far coarser than 1e-30; at the anchor
+        # 0.5 - 2**-54 the negative 1e-30 lies just inside the bottom of the window and adds 2**-54 + 1e-30
+        for scores in ([0.5 - 2**-54, 1e-30], [0.5 - 2**-54, 1e-30, 3e-31, 0.75], [0.25, 1e-30, -1e-300]):
+            ss = make_set(scores, [1] + [0] * (len(scores) - 1))
+            for got, exact in zip(compute_ranks(ss, 0, 0.5), _exact_ranks(ss, 0, 0.5)):
+                assert abs(Fraction(got) - exact) <= _rank_bound(exact, len(ss), scores[0], 0.5)
+
+    def test_a_delta_far_below_the_scores_grid_counts_in_full(self):
+        # delta lies wholly below the grid of scores near 1e300: the window holds the anchor's ties, 1/2 each
+        assert compute_ranks(make_set([1e300, 1e300, 1e300, 3e300], [1, 0, 1, 0]), 0, 1e-300) == (1.5, 1.5)
+        # 0.1 and 0.2 have bits below the grid of scores near 1e15, whose ulp is 0.125
+        for delta in (0.1, 0.2):
+            ss = make_set([1e15, 1e15 + 0.125, 1e15 - 0.125, 1e15 + 0.25, 1e15], [1, 0, 0, 1, 0])
+            for got, exact in zip(compute_ranks(ss, 0, delta), _exact_ranks(ss, 0, delta)):
+                assert abs(Fraction(got) - exact) <= _rank_bound(exact, len(ss), 1e15, delta)
+
+
+def _ulp_run(centre, steps):
+    """centre and its `steps` nearest doubles on either side, descending."""
+    run = [centre]
+    for direction in (np.inf, -np.inf):
+        value = centre
+        for _ in range(steps):
+            value = np.nextafter(value, direction)
+            run.append(value)
+    return np.sort(np.array(run))[::-1]
+
+
+class TestEdgeCounts:
+    @pytest.mark.parametrize("s_u", [0.0, 0.3, 1.0, -7.25, 1e3 + 0.1, 1e6, -1e6, 1e300])
+    @pytest.mark.parametrize("width", [0.1, 0.25, 0.5, 3.0])
+    def test_equals_the_pairwise_predicates_on_ulp_runs(self, s_u, width):
+        anchors = np.array([s_u])
+        for offset, holds in (
+            (width, lambda t: _ramp(t - s_u, width) >= 1),  # the top of the ramp's window
+            (-width, lambda t: _ramp(t - s_u, width) > 0),  # its bottom
+            (width, lambda t: t - s_u > width),  # a valid pair at threshold width
+        ):
+            row = np.repeat(_ulp_run(s_u + offset, 40), 3)  # ties too
+            count = ranking._leading_counts(-row, anchors, offset, width, lambda t, rows: holds(t))
+            assert count.tolist() == [np.count_nonzero(holds(row))]
+            assert holds(row[: count[0]]).all() and not holds(row[count[0] :]).any()
+
+    def test_settles_a_tie_block_in_one_step(self):
+        # 1.1 - 1.0 rounds above 0.1, so all 1000 ties at the edge count; no other score is near it
+        row = np.concatenate([[3.0, 2.0], np.full(1000, 1.1), [0.5, -1.0]])
+        calls = []
+
+        def valid(t, rows):
+            calls.append(t.size)
+            return t - 1.0 > 0.1
+
+        assert ranking._leading_counts(-row, np.array([1.0]), 0.1, 0.1, valid).tolist() == [1002]
+        assert calls == [1]

@@ -153,6 +153,15 @@ CORPUS = {
 }
 
 
+def _leaves(obj):
+    """The numbers of a parsed JSON value."""
+    if isinstance(obj, dict):
+        return [v for item in obj.values() for v in _leaves(item)]
+    if isinstance(obj, list):
+        return [v for item in obj for v in _leaves(item)]
+    return [obj]
+
+
 def outcome(read):
     """The bits of the ScoreSet that read() returns, or the type, text and position of what it raises."""
     try:
@@ -207,6 +216,13 @@ class TestWriteScoreFile:
             text = f.read()
         assert text == "index,score,label\n0,0.5,1\n1,0.25,0\n"
 
+    def test_largest_floats_read_back_finite(self, tmp_path):
+        ss = make_set([1.7976931348623157e308, -1.7976931348623157e308, 1.797693134862315e308, 0.5], [1, 0, 0, -1])
+        path = str(tmp_path / "out.csv")
+        write_score_file(path, ss)
+        back = read_score_file(path)
+        assert back.scores.tolist() == [1.79769313486231e308, -1.79769313486231e308, 1.79769313486231e308, 0.5]
+
     def test_unwritable_path(self):
         with pytest.raises(ValidationError, match="^cannot write /nonexistent/x.csv: No such file or directory$"):
             write_score_file("/nonexistent/x.csv", make_set([0.5, 0.25], [1, 0]))
@@ -225,6 +241,23 @@ class TestReportRendering:
         assert format_float(0.1) == "0.1"
         assert format_float(1.0 / 3.0) == "0.333333333333333"
         assert len(format_float(123456.789012345678).replace(".", "")) <= 16
+
+    def test_largest_floats_round_toward_zero(self):
+        assert format_float(1.7976931348623157e308) == "1.79769313486231e+308"
+        assert format_float(-1.797693134862315e308) == "-1.79769313486231e+308"
+        # no other text moves: below the largest 15-digit value rounding is to nearest, and inf stays inf
+        assert format_float(1.797693134862314e308) == "1.79769313486231e+308"
+        assert format_float(1.7976931348623e308) == "1.7976931348623e+308"
+        assert format_float(float("inf")) == "inf" and format_float(-1e308) == "-1e+308"
+
+    def test_largest_floats_render_as_strict_json(self):
+        def refuse(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        largest = 1.7976931348623157e308
+        for report in ({"x": largest}, {"gradient": np.array([largest, 0.0, -largest])}, {"rows": [[-largest]]}):
+            parsed = json.loads(render_report(report), parse_constant=refuse)
+            assert {abs(v) for v in _leaves(parsed) if v} == {1.79769313486231e308}
 
     def test_round_floats_handles_containers(self):
         data = {"a": np.float64(0.5), "b": np.array([1.5, 2.5]), "c": (True, 3, None)}
@@ -245,7 +278,7 @@ FLOATS = np.array(
 REPORTS = {
     "edge floats": {"gradient": FLOATS},
     "mostly zeros": {"total_loss": 0.3, "gradient": np.where(np.arange(98) % 7 == 0, FLOATS[np.arange(98) // 7], 0.0)},
-    "largest floats round to inf": {"gradient": np.array([1.7976931348623157e308, 0.0, -1.7976931348623157e308])},
+    "largest floats round toward zero": {"gradient": np.array([1.7976931348623157e308, 0.0, -1.7976931348623157e308])},
     "nan": {"gradient": np.array([0.5, np.nan, -0.0])},
     "inf": {"gradient": np.array([np.inf, 0.0, -np.inf])},
     "single float": {"gradient": np.array([1.0 / 3.0])},
