@@ -18,7 +18,11 @@ sigmoid value comes from one helper, _sigmoid(z) = 1 / (1 + exp(-z)); where
 exp overflows the quotient saturates to exactly 0. The cross-entropy form
 -(1/lam)*log(1 - sigmoid(lam*x)) loses everything to rounding once
 lam*x > ~37, so it is evaluated as np.logaddexp(0, lam*x)/lam, the same
-function arranged without the cancellation; where that overflows, CE(x) = x.
+function arranged without the cancellation. Where that overflows, CE(x) = x
+only if softplus(lam*x) rounds to lam*x (or lam*x is inf): there the true
+value rounds to x. Any other overflow is the cross-entropy's own, as for
+every x once lam < log(2) / DBL_MAX (about 3.86e-309), or for x near DBL_MAX
+with lam*x of order 1, and raises ValidationError naming lam.
 
 Determinism. np.exp runs on the SIMD code numpy selects for the CPU at
 import (NEP 38 dispatch), so sigmoid values are bitwise repeatable on one
@@ -97,14 +101,21 @@ def ce_distance(x, lam: float = 8.0):
     Identical to -(1/lam) * log(1 - S(x)) but immune to the 1 - S
     cancellation for large lam * x. Nonnegative everywhere, ~0 for strongly
     correct pairs, asymptotically linear (slope 1) for strongly wrong ones.
+    A value past the largest double raises ValidationError naming lam,
+    unless it rounds to x (see the module's numerical notes).
     """
     lam = finite("lam", lam, gt=0)
     arr, scalar = _prepare(x)
     with np.errstate(over="ignore"):
         out = np.logaddexp(0.0, lam * arr) / lam
-    # CE(x) -> x as lam * x grows, so x is the value where this overflows
-    if out.max(initial=0.0) == np.inf:
-        out = np.where(np.isinf(out), arr, out)
+        if out.max(initial=0.0) == np.inf:
+            over = np.isinf(out)
+            # CE(x) is x where softplus(z) rounds to z (or z is inf); elsewhere the cross-entropy itself overflows
+            z = lam * arr[over]
+            refused = arr[over][np.logaddexp(0.0, z) != z].tolist()
+            if refused:
+                raise ValidationError(f"lam = {lam!r}: the cross-entropy of x = {refused[0]!r} overflows a double")
+            out = np.where(over, arr, out)
     return _ret(out, scalar)
 
 

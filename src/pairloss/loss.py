@@ -21,12 +21,16 @@ They are the same function in exact arithmetic; keeping both runnable is what
 makes the equivalence testable. Either gradient call reports cross-entropy loss values
 alongside the gradient.
 
-Anchors are evaluated in row blocks of at most ranking.BLOCK_DOUBLES kept pairs.
-Per-anchor pair sums are exactly rounded, equal to math.fsum bit for bit and
-independent of pair order: a compensated TwoSum tree sums a whole block and
-certifies each row's rounding, and the rows it cannot certify (exact
-rounding midpoints, overflow) go through math.fsum. Negative-side gradients
-add up in anchor order, so results are bitwise independent of the block size.
+Anchors are evaluated in row blocks: each block is one rows x width matrix
+of score differences against the first `width` selected negatives, where
+width is the largest kept count among its rows, and it holds at most
+ranking.BLOCK_DOUBLES slots. A restricted row keeps a prefix of the
+selection, and every kernel output is zeroed past it. Per-anchor pair sums
+are exactly rounded, equal to math.fsum bit for bit and independent of pair
+order: a compensated TwoSum tree sums a whole block and certifies each row's
+rounding, and the rows it cannot certify (exact rounding midpoints,
+overflow) go through math.fsum. Negative-side gradients add up in anchor
+order, so results are bitwise independent of the block size.
 """
 
 from __future__ import annotations
@@ -155,25 +159,18 @@ def _tree_sums(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, certified
 
 
-def _row_sums(values: np.ndarray, counts: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of a flat row-major block whose rows hold counts[i] values, bit for bit.
+def _row_sums(block: np.ndarray, anchors: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of a 2-D block, bit for bit.
 
-    Every row holds values of one sign. Rows the tree sum cannot certify go
-    through math.fsum; a row whose sum overflows raises ValidationError
-    naming its anchor.
+    Every row holds values of one sign; a restricted row is +0.0 past its
+    prefix, which changes neither fsum nor the tree's sum. Rows the tree sum
+    cannot certify go through math.fsum; a row whose sum overflows raises
+    ValidationError naming its anchor.
     """
-    width = int(counts.max(initial=0))
-    if values.size == counts.size * width:
-        cols = values.reshape(counts.size, width).T.copy()
-    else:
-        # ragged rows are padded with +0.0, which changes neither fsum nor the tree's sum
-        cols = np.zeros((width, counts.size))
-        cols.T[np.arange(width) < counts[:, None]] = values
-    sums, certified = _tree_sums(cols)
+    sums, certified = _tree_sums(block.T.copy())
     for i in np.flatnonzero(~certified):
-        start = counts[:i].sum()
         try:
-            sums[i] = fsum(values[start : start + counts[i]].tolist())
+            sums[i] = fsum(block[i].tolist())
         except OverflowError:
             raise ValidationError(f"pair sum of anchor {anchors[i]} overflows") from None
     return sums
@@ -212,40 +209,42 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: GradientForm | None
     # ranksum constants are >= 1; a zero negcount constant skips its anchor
     live = np.flatnonzero(bc > 0)
 
-    sel_scores = scores[sel]
-    active = np.zeros(pos.size, dtype=np.int64)
     # an anchor's valid negatives are its n_neg highest-scoring ones, so a restricted row is a prefix of sel
-    active[live] = np.minimum(n_neg[live], sel.size) if restrict else sel.size
+    active = np.where(bc > 0, np.minimum(n_neg, sel.size) if restrict else sel.size, 0)
     loss = np.zeros(pos.size)
     grad = np.zeros(n) if want_grad else None
     for rows in row_blocks(live.size, int(active.max(initial=0))):
         at = live[rows]
-        anchors = pos[at]
-        counts = active[at]
+        anchors, b = pos[at], bc[at]
+        negs = sel[: active[at].max()]
+        # the slots past each row's kept prefix; their kernel outputs are zeroed, as no finite difference
+        # written there would give exactly zero at every lam
+        tail = np.arange(negs.size) >= active[at, None]
         with np.errstate(over="ignore"):  # an overflowed difference fails the distance kernel's finiteness check
-            if restrict:
-                prefix = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-                pair_diffs, pair_negs = sel_scores[prefix] - np.repeat(scores[anchors], counts), sel[prefix]
-            else:
-                pair_diffs, pair_negs = (sel_scores - scores[anchors, None]).ravel(), np.tile(sel, at.size)
-        b = bc[at]
+            pair_diffs = scores[negs] - scores[anchors, None]
         try:
             values = ce_distance(pair_diffs, lam) if want_grad else distance_value(pair_diffs, config.distance)
         except ValidationError:
-            raise overflow_error(np.repeat(anchors, counts)[~np.isfinite(pair_diffs)][0]) from None
-        loss[at] = _row_sums(values, counts, anchors) / b
+            overflowed = ~(np.isfinite(pair_diffs) | tail).all(axis=1)
+            if not overflowed.any():
+                raise  # the kernel's own refusal, such as a lam whose cross-entropy overflows
+            raise overflow_error(anchors[overflowed.argmax()]) from None
+        values[tail] = 0.0
+        loss[at] = _row_sums(values, anchors) / b
         if not want_grad:
             continue
         # anchors add onto 0.0, so an anchor without pair mass reads +0.0, never -0.0;
         # np.add.at adds pairs one by one in row order, so each negative sums in anchor order
         if form is GradientForm.ERROR_DRIVEN:
             masses = sigmoid_distance(pair_diffs, lam)
-            grad[anchors] += -_row_sums(masses, counts, anchors) / b
-            np.add.at(grad, pair_negs, masses / np.repeat(b, counts))
+            masses[tail] = 0.0
+            grad[anchors] += -_row_sums(masses, anchors) / b
+            np.add.at(grad, np.tile(negs, at.size), (masses / b[:, None]).ravel())
         else:
             slopes = ce_distance_grad_wrt_u(pair_diffs, lam)
-            grad[anchors] += _row_sums(slopes, counts, anchors) / b
-            np.add.at(grad, pair_negs, -slopes / np.repeat(b, counts))
+            slopes[tail] = 0.0
+            grad[anchors] += _row_sums(slopes, anchors) / b
+            np.add.at(grad, np.tile(negs, at.size), (-slopes / b[:, None]).ravel())
 
     n_pos = pos.size
     try:

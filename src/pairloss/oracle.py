@@ -90,8 +90,12 @@ def _bf_softplus(z: float) -> float:
 
 def _bf_ce(x: float, lam: float) -> float:
     value = _bf_softplus(lam * x) / lam
-    # CE(x) -> x as lam * x grows, so x is the value where this overflows
-    return x if value == math.inf else value
+    if value == math.inf and x > 0.0:
+        # softplus(z) = z + softplus(-z), so CE(x) = x + softplus(-lam x) / lam, whose second term is small here
+        value = x + _bf_softplus(-lam * x) / lam
+    if value == math.inf:
+        raise ValidationError(f"lam = {lam!r}: the cross-entropy of x = {x!r} overflows a double")
+    return value
 
 
 def _bf_distance(x: float, config: LossConfig) -> float:

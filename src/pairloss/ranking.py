@@ -48,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distance import _ramp
-from .types import FilterMode, Label, LossConfig, PairBudget, ScoreSet, ValidationError, array, finite, instance, integer
+from .types import NEGATIVE, POSITIVE, FilterMode, LossConfig, PairBudget, ScoreSet, ValidationError
+from .types import array, finite, instance, integer
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,6 @@ class RankStats:
 
 
 _LARGEST = float(np.finfo(np.float64).max)
-_POSITIVE, _NEGATIVE = int(Label.POSITIVE), int(Label.NEGATIVE)  # plain ints compare faster than the enum
 _GROUP_SHIFT = np.array([[3], [1]], dtype=np.int32)  # with _GROUP_OFFSET, the groups' top exponents; see compute_ranks
 _GROUP_OFFSET = np.array([[0], [2]], dtype=np.int32)
 _GROUP_SHIFT.flags.writeable = _GROUP_OFFSET.flags.writeable = False
@@ -88,15 +88,15 @@ def _check_anchors(score_set: ScoreSet, u) -> tuple[np.ndarray, bool]:
     outside = anchors.astype(np.uint64) >= len(score_set)  # a negative index wraps past every length
     if outside.any():
         raise ValidationError(f"u holds index {anchors[outside][0]}, out of range for a set of {len(score_set)}")
-    unlabelled = score_set.labels[anchors] != _POSITIVE
+    unlabelled = score_set.labels[anchors] != POSITIVE
     if unlabelled.any():
         raise ValidationError(f"u holds index {anchors[unlabelled][0]}, which is not labelled positive")
     return anchors, scalar
 
 
-def _by_score(score_set: ScoreSet, label: Label) -> np.ndarray:
+def _by_score(score_set: ScoreSet, label: int) -> np.ndarray:
     """Indices labelled `label`, in the set's score order: descending score, ties by ascending index."""
-    return score_set.order[score_set.labels[score_set.order] == int(label)]
+    return score_set.order[score_set.labels[score_set.order] == label]
 
 
 def _leading_counts(ascending: np.ndarray, s_u: np.ndarray, offset, width: float, holds) -> np.ndarray:
@@ -196,8 +196,8 @@ def compute_ranks(score_set: ScoreSet, u, delta: float = 0.5):
     # each label's scores in the order form one block of by_label, after a leading slot that holds 0, so a
     # window is a range of each block, at[label, edge], and a prefix sum at j sums the first j entries
     labels = score_set.labels[order]
-    positives = np.flatnonzero(labels == _POSITIVE)
-    by_label = np.concatenate([[0], positives, np.flatnonzero(labels == _NEGATIVE)])
+    positives = np.flatnonzero(labels == POSITIVE)
+    by_label = np.concatenate([[0], positives, np.flatnonzero(labels == NEGATIVE)])
     n_pos = positives.size
     blocks = by_label[1 : n_pos + 1], by_label[n_pos + 1 :]
     at = np.concatenate([blocks[0].searchsorted(edges), blocks[1].searchsorted(edges) + n_pos]).reshape(2, 2, -1)
@@ -253,7 +253,7 @@ def valid_negative_count(score_set: ScoreSet, u, threshold: float = 0.25):
     anchors, scalar = _check_anchors(score_set, u)
     threshold = finite("threshold", threshold, ge=0)
     s_u = score_set.scores[anchors]
-    ascending = -score_set.scores[_by_score(score_set, Label.NEGATIVE)]
+    ascending = -score_set.scores[_by_score(score_set, NEGATIVE)]
 
     def valid(t, rows):
         with np.errstate(over="ignore"):  # an overflow to +-inf compares correctly
@@ -273,7 +273,7 @@ def select_top_q_negatives(score_set: ScoreSet, budget: PairBudget) -> np.ndarra
     """
     instance("score_set", score_set, ScoreSet)
     instance("budget", budget, PairBudget)
-    return _by_score(score_set, Label.NEGATIVE)[: budget.q]
+    return _by_score(score_set, NEGATIVE)[: budget.q]
 
 
 def balance_constant(score_set: ScoreSet, u: int, config: LossConfig) -> float | None:

@@ -22,6 +22,8 @@ import numpy as np
 
 from .loss import LossResult, evaluate_with_gradient
 from .types import (
+    IGNORE,
+    POSITIVE,
     DivergenceError,
     Label,
     LossConfig,
@@ -136,7 +138,7 @@ def ranking_ap(score_set: ScoreSet) -> float:
     AP is 1 exactly when every positive outscores every negative.
     """
     labels = instance("score_set", score_set, ScoreSet).labels[score_set.order]
-    hits = (labels[labels != Label.IGNORE] == Label.POSITIVE).astype(np.float64)
+    hits = (labels[labels != IGNORE] == POSITIVE).astype(np.float64)
     if not hits.any():
         raise UndefinedMetricError("ranking AP needs at least one positive")
     cum_hits = np.cumsum(hits)

@@ -49,6 +49,8 @@ class Label(IntEnum):
 
 
 VALID_LABELS = frozenset(int(v) for v in Label)
+# the label codes as plain ints, which numpy compares with an int64 array faster than the enum
+POSITIVE, NEGATIVE, IGNORE = int(Label.POSITIVE), int(Label.NEGATIVE), int(Label.IGNORE)
 
 
 class DistanceKind(str, Enum):
@@ -205,15 +207,15 @@ class ScoreSet:
 
     @property
     def positive_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == Label.POSITIVE)
+        return np.flatnonzero(self.labels == POSITIVE)
 
     @property
     def negative_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == Label.NEGATIVE)
+        return np.flatnonzero(self.labels == NEGATIVE)
 
     @property
     def ignore_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == Label.IGNORE)
+        return np.flatnonzero(self.labels == IGNORE)
 
     @cached_property
     def order(self) -> np.ndarray:

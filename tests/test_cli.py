@@ -433,6 +433,13 @@ class TestCurve:
         assert main(["curve", "--function", "S", "--samples", "1"]) == 3
         capsys.readouterr()
 
+    def test_cross_entropy_that_overflows_exits_3(self, capsys):
+        argv = ["curve", "--function", "CE", "--lambda", "1e-310", "--x-min", "-1", "--x-max", "1", "--samples", "3"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "validation error: lambda = 1e-310: the cross-entropy of x = -1.0 overflows a double\n"
+        assert captured.out == ""
+
     def test_sample_count_beyond_memory_exits_3(self, capsys):
         # numpy refuses 10**15 doubles before allocating anything
         assert main(["curve", "--function", "S", "--samples", str(10**15)]) == 3

@@ -14,14 +14,21 @@ from hypothesis import strategies as st
 from pairloss import (
     DistanceKind,
     DistanceSpec,
+    LossConfig,
+    ScoreSet,
     ValidationError,
+    brute_force_loss,
     ce_distance,
     ce_distance_grad_wrt_u,
     distance_value,
+    evaluate_loss,
+    gradient_autodiff_ce,
+    gradient_error_driven,
     sigmoid_distance,
     sigmoid_distance_grad_wrt_u,
     step_distance,
 )
+from pairloss.oracle import _bf_ce
 
 # 40-digit evaluations, rounded to float64
 S_QUARTER = 0.8807970779778824  # 1/(1+e^-2)
@@ -170,6 +177,49 @@ class TestCeDistance:
         xs = np.linspace(-3.0, 3.0, 1201)
         ys = ce_distance(xs, 8.0)
         assert np.all(np.diff(ys) > 0.0)
+
+
+class TestCeOverflow:
+    """softplus(lam x) / lam that overflows is x only where softplus(lam x) rounds to lam x."""
+
+    LAMS = (5e-324, 1e-310, 3.8e-309, 3.9e-309, 1e-300)
+    XS = (-1.7e308, -1e300, -1.0, -0.1, -5e-324, 5e-324, 0.1, 1.0, 1e300, 1.7e308)
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_kernel_and_oracle_are_cross_entropies_or_refuse(self, lam):
+        for x in self.XS:
+            for ce in (ce_distance, _bf_ce):
+                try:
+                    value = ce(x, lam)
+                except ValidationError as exc:
+                    assert str(exc).startswith(f"lam = {lam!r}: ")
+                else:
+                    assert value >= 0.0, (ce, x, lam, value)
+
+    def test_tiny_lam_refuses_every_x(self):
+        # log(2) / lam overflows once lam < log(2) / DBL_MAX, about 3.86e-309
+        for x in (-0.1, 0.0, 0.1):
+            with pytest.raises(ValidationError, match=r"^lam = 1e-310: the cross-entropy of x = "):
+                ce_distance(x, 1e-310)
+        with pytest.raises(ValidationError, match=r"^lam = 1e-310: "):
+            ce_distance(np.array([-1.0, 1.0]), 1e-310)
+        assert ce_distance(0.0, 3.9e-309) == pytest.approx(math.log(2) / 3.9e-309, rel=1e-12)
+
+    def test_overflowing_ce_near_the_largest_double_refuses(self):
+        # lam x = 1.7: the true CE, about 1.87e308, is past the largest double, and not x
+        with pytest.raises(ValidationError, match=r"^lam = 1e-308: "):
+            ce_distance(1.7e308, 1e-308)
+        with pytest.raises(ValidationError, match=r"^lam = 1e-308: "):
+            _bf_ce(1.7e308, 1e-308)
+
+    def test_the_loss_passes_the_refusal_through(self):
+        ss = ScoreSet([0.3, 0.1, 0.2], [1, 0, 0])
+        config = LossConfig(distance=DistanceSpec(lam=1e-310))
+        for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce):
+            with pytest.raises(ValidationError, match=r"^lam = 1e-310: the cross-entropy of x = "):
+                fn(ss, config)
+        with pytest.raises(ValidationError, match=r"^lam = 1e-310: "):
+            brute_force_loss(ss, config)
 
 
 class TestCeGradient:

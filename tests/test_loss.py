@@ -32,6 +32,7 @@ from pairloss import (
     generate_scores,
     gradient_autodiff_ce,
     gradient_error_driven,
+    sigmoid_distance,
 )
 from pairloss import ranking
 from pairloss.loss import _row_sums, _tree_sums
@@ -394,6 +395,46 @@ class TestBlocking:
         assert [self._all_forms(ss, config) for ss in sets] == default
 
 
+class TestBlockShape:
+    """Every row block is one rows x width matrix; a restricted row is zero past its kept prefix."""
+
+    def test_ragged_negcount_block_at_tiny_lam_matches_brute_force(self):
+        # the anchors keep 3 and 2 pairs in one block; at lam = 1e-307 any finite value pushed
+        # through the kernels past a row's prefix would carry a visible cross-entropy
+        ss = make_set([0.3, 0.6, 0.9, 0.7, 0.2, 1.0], [1, 1, 0, 0, 0, 0])
+        config = LossConfig(distance=DistanceSpec(lam=1e-307), pair_filter=FilterSpec(mode=FilterMode.VALID_NEG_COUNT))
+        expect = brute_force_loss(ss, config)
+        for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce):
+            got = fn(ss, config)
+            assert [s.active_pairs for s in got.stats] == [3, 2]
+            assert got.total_loss == pytest.approx(expect.total_loss, rel=1e-12)
+            assert got.per_anchor_loss == pytest.approx(expect.per_anchor_loss, rel=1e-12)
+            if got.gradient is not None:
+                np.testing.assert_allclose(got.gradient, expect.gradient, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflow_past_a_prefix_leaves_the_kept_overflow_named(self):
+        # anchor 0 skips negative 3, whose difference is -inf, in the slot past its prefix;
+        # anchor 1 keeps negative 2, whose difference is +inf
+        ss = make_set([1.7e308, -2e307, 1.75e308, -1e307], [1, 1, 0, 0])
+        message = "^a score difference of anchor 1 overflows a double; score differences must be finite$"
+        for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce):
+            with pytest.raises(ValidationError, match=message):
+                fn(ss, NEGCOUNT)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_negative_gradients_sum_in_anchor_order(self, q):
+        ss = generate_scores(GeneratorSpec(seed=7, n_pos=400, n_neg=60, pos_mean=0.45, neg_mean=0.55))
+        result = gradient_error_driven(ss, LossConfig(budget=PairBudget(q)))
+        selected = ranking.select_top_q_negatives(ss, PairBudget(q))
+        assert selected.size == q
+        for v in selected.tolist():
+            g = 0.0
+            for s in result.stats:
+                g += float(sigmoid_distance(ss.scores[v] - ss.scores[s.anchor_index], 8.0)) / s.balance_constant
+            assert result.gradient[v].hex() == (g / 400).hex()
+
+
 # magnitudes for same-sign rows: plain and subnormal doubles, values near 1e300, zeros, and
 # dyadic values whose exact sums are often representable or exact rounding midpoints
 _MAGNITUDES = st.one_of(
@@ -410,12 +451,12 @@ def _fsum_rows(rows):
 
 
 def _strict_row_sums(rows):
-    """_row_sums of ragged rows, with every numpy warning raised as an error."""
-    counts = np.array([len(row) for row in rows], dtype=np.int64)
-    values = np.array([x for row in rows for x in row], dtype=np.float64)
+    """_row_sums of ragged rows padded with +0.0 to one block, with every numpy warning raised as an error."""
+    width = max(len(row) for row in rows)
+    block = np.array([row + [0.0] * (width - len(row)) for row in rows], dtype=np.float64).reshape(len(rows), width)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return _row_sums(values, counts, np.arange(len(rows)))
+        return _row_sums(block, np.arange(len(rows)))
 
 
 class TestRowSums:
