@@ -17,20 +17,27 @@ way (x + delta) can, and x = +-inf reads as the ramp's limit, 1 or 0. Every
 sigmoid value comes from one helper, _sigmoid(z) = 1 / (1 + exp(-z)); where
 exp overflows the quotient saturates to exactly 0. The cross-entropy form
 -(1/lam)*log(1 - sigmoid(lam*x)) loses everything to rounding once
-lam*x > ~37, so it is evaluated as np.logaddexp(0, lam*x)/lam, the same
-function arranged without the cancellation. Where that overflows, CE(x) = x
-only if softplus(lam*x) rounds to lam*x (or lam*x is inf): there the true
-value rounds to x. Any other overflow is the cross-entropy's own, as for
-every x once lam < log(2) / DBL_MAX (about 3.86e-309), or for x near DBL_MAX
-with lam*x of order 1, and raises ValidationError naming lam.
+lam*x > ~37, so every softplus value comes from one helper, _softplus(z) =
+max(z, 0) + log1p(exp(-|z|)) (Maechler, "Accurately computing
+log(1 - exp(-|a|))", Rmpfr vignette, 2012), the same function arranged
+without the cancellation: exp(-|z|) lies in [0, 1], so a finite z never
+overflows it, and both exp and log1p run on numpy's SIMD code. CE is
+_softplus(lam*x)/lam. Where that overflows, CE(x) = x only if
+softplus(lam*x) rounds to lam*x (or lam*x is inf): there the true value
+rounds to x. Any other overflow is the cross-entropy's own, as for every x
+once lam < log(2) / DBL_MAX (about 3.86e-309), or for x near DBL_MAX with
+lam*x of order 1, and raises ValidationError naming lam.
 
-Determinism. np.exp runs on the SIMD code numpy selects for the CPU at
-import (NEP 38 dispatch), so sigmoid values are bitwise repeatable on one
-machine with one numpy build. Between numpy 2.4's AVX-512 and baseline
-x86-64 code, exp differs by at most 1 ulp and a sigmoid value by at most
-2 ulp, except where exp(-z) lies in [2^53, 2^54) (z in about
-[-37.5, -36.7], values near 1e-16): there the rounding of 1 + exp(-z) can
-double a 1-ulp step of exp to 4 ulp. tests/test_determinism.py pins this.
+Determinism. np.exp and np.log1p run on the SIMD code numpy selects for the
+CPU at import (NEP 38 dispatch), so sigmoid and cross-entropy values are
+bitwise repeatable on one machine with one numpy build. Between numpy 2.4's
+AVX-512 and baseline x86-64 code, exp differs by at most 1 ulp and a
+sigmoid value by at most 2 ulp, except where exp(-z) lies in [2^53, 2^54)
+(z in about [-37.5, -36.7], values near 1e-16): there the rounding of
+1 + exp(-z) can double a 1-ulp step of exp to 4 ulp. A cross-entropy value
+differs by at most 2 ulp, and on either target lies within 2 ulp of the
+oracle's math-module value. tests/test_determinism.py pins the dispatch
+bounds and tests/test_distance.py the oracle bound.
 """
 
 from __future__ import annotations
@@ -54,6 +61,19 @@ def _ret(arr: np.ndarray, scalar: bool):
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)); callers ignore the overflow of exp(-z), which saturates the result to 0."""
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + exp(z)) as max(z, 0) + log1p(exp(-|z|)), computed in the float array z, which it returns.
+
+    exp(-|z|) lies in [0, 1], so a finite z gives a finite value, and z = +inf gives +inf.
+    """
+    t = np.copysign(z, -1.0, out=np.empty_like(z))
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    np.maximum(z, 0.0, out=z)
+    z += t
+    return z
 
 
 def _ramp(x: np.ndarray, delta: float) -> np.ndarray:
@@ -107,12 +127,14 @@ def ce_distance(x, lam: float = 8.0):
     lam = finite("lam", lam, gt=0)
     arr, scalar = _prepare(x)
     with np.errstate(over="ignore"):
-        out = np.logaddexp(0.0, lam * arr) / lam
+        # an array even for a scalar x, which _softplus overwrites
+        out = _softplus(np.multiply(arr, lam, out=np.empty_like(arr)))
+        out /= lam
         if out.max(initial=0.0) == np.inf:
             over = np.isinf(out)
             # CE(x) is x where softplus(z) rounds to z (or z is inf); elsewhere the cross-entropy itself overflows
             z = lam * arr[over]
-            refused = arr[over][np.logaddexp(0.0, z) != z].tolist()
+            refused = arr[over][_softplus(z.copy()) != z].tolist()
             if refused:
                 raise ValidationError(f"lam = {lam!r}: the cross-entropy of x = {refused[0]!r} overflows a double")
             out = np.where(over, arr, out)

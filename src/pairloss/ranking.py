@@ -13,8 +13,9 @@ a constant under differentiation. Two modes:
 
 Every reader here walks the set's one score order, ScoreSet.order
 (descending score, ties by ascending index): the top-q selection is a
-prefix of the negatives in it, and a valid count or an edge of a rank's
-ramp window is a count of leading scores in it, bracketed by
+prefix of the negatives in it (ScoreSet.negatives_by_score, computed once
+per set, as the order is), and a valid count or an edge of a rank's ramp
+window is a count of leading scores in one of the two, bracketed by
 np.searchsorted and settled by the predicate itself. So selections,
 counts and ranks depend on the scores alone, bit for bit, not on the order
 of the elements in the set.
@@ -92,11 +93,6 @@ def _check_anchors(score_set: ScoreSet, u) -> tuple[np.ndarray, bool]:
     if unlabelled.any():
         raise ValidationError(f"u holds index {anchors[unlabelled][0]}, which is not labelled positive")
     return anchors, scalar
-
-
-def _by_score(score_set: ScoreSet, label: int) -> np.ndarray:
-    """Indices labelled `label`, in the set's score order: descending score, ties by ascending index."""
-    return score_set.order[score_set.labels[score_set.order] == label]
 
 
 def _leading_counts(ascending: np.ndarray, s_u: np.ndarray, offset, width: float, holds) -> np.ndarray:
@@ -253,7 +249,7 @@ def valid_negative_count(score_set: ScoreSet, u, threshold: float = 0.25):
     anchors, scalar = _check_anchors(score_set, u)
     threshold = finite("threshold", threshold, ge=0)
     s_u = score_set.scores[anchors]
-    ascending = -score_set.scores[_by_score(score_set, NEGATIVE)]
+    ascending = -score_set.scores[score_set.negatives_by_score]
 
     def valid(t, rows):
         with np.errstate(over="ignore"):  # an overflow to +-inf compares correctly
@@ -269,11 +265,11 @@ def select_top_q_negatives(score_set: ScoreSet, budget: PairBudget) -> np.ndarra
     Ties on score are broken by ascending original index, so every selection
     is a prefix of the next larger one; an unlimited or non-binding budget
     returns every negative in that order. The same selection serves every
-    anchor.
+    anchor; it is a read-only view of ScoreSet.negatives_by_score.
     """
     instance("score_set", score_set, ScoreSet)
     instance("budget", budget, PairBudget)
-    return _by_score(score_set, NEGATIVE)[: budget.q]
+    return score_set.negatives_by_score[: budget.q]
 
 
 def balance_constant(score_set: ScoreSet, u: int, config: LossConfig) -> float | None:

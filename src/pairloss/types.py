@@ -229,6 +229,14 @@ class ScoreSet:
         order.flags.writeable = False
         return order
 
+    @cached_property
+    def negatives_by_score(self) -> np.ndarray:
+        """The negative indices in the set's score order; computed on first use and read-only."""
+        # gathers the one-byte mask, not the int64 labels, so the temporary is an eighth of the set's indices
+        negatives = self.order[(self.labels == NEGATIVE)[self.order]]
+        negatives.flags.writeable = False
+        return negatives
+
     def with_scores(self, scores: np.ndarray) -> "ScoreSet":
         """Same labels, new scores (used by the training simulator)."""
         return ScoreSet(scores=scores, labels=self.labels)

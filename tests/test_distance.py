@@ -29,6 +29,7 @@ from pairloss import (
     step_distance,
 )
 from pairloss.oracle import _bf_ce
+from test_determinism import GRID, ulp_distance
 
 # 40-digit evaluations, rounded to float64
 S_QUARTER = 0.8807970779778824  # 1/(1+e^-2)
@@ -177,6 +178,15 @@ class TestCeDistance:
         xs = np.linspace(-3.0, 3.0, 1201)
         ys = ce_distance(xs, 8.0)
         assert np.all(np.diff(ys) > 0.0)
+
+    @pytest.mark.parametrize("lam", (0.5, 1.0, 8.0, 300.0))
+    def test_within_two_ulp_of_the_oracle(self, lam):
+        """x = GRID / lam, so lam * x spans the range where the sigmoid is neither 0 nor 1."""
+        xs = GRID / lam
+        ys = ce_distance(xs, lam)
+        assert ys.min() >= 0.0
+        expected = np.array([_bf_ce(x, lam) for x in xs.tolist()])
+        assert ulp_distance(ys, expected).max() <= 2
 
 
 class TestCeOverflow:

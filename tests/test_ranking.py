@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from pairloss import (
     FilterMode,
     FilterSpec,
+    GeneratorSpec,
     LossConfig,
     PairBudget,
     ScoreSet,
     ValidationError,
     balance_constant,
     compute_ranks,
+    generate_scores,
+    gradient_error_driven,
     select_top_q_negatives,
     valid_negative_count,
     valid_pair_indicator,
@@ -37,6 +40,22 @@ class TestScoreSet:
         with pytest.raises(ValueError):
             ss.order[0] = 1
         assert ss.with_scores(np.array([0.7, 0.2])).order.tolist() == [0, 1]
+
+    def test_negatives_by_score_are_the_negatives_of_the_order_and_read_only(self):
+        ss = make_set([0.5, 0.9, 0.5, -0.0, 0.0, 0.9], [0, 0, -1, 0, 1, 0])
+        assert ss.negatives_by_score.tolist() == [1, 5, 0, 3]
+        assert ss.negatives_by_score is ss.negatives_by_score
+        with pytest.raises(ValueError):
+            ss.negatives_by_score[0] = 1
+
+    def test_a_negcount_gradient_call_computes_the_negatives_by_score_once(self, monkeypatch):
+        calls = []
+        compute = ScoreSet.negatives_by_score.func
+        monkeypatch.setattr(ScoreSet.negatives_by_score, "func", lambda ss: calls.append(1) or compute(ss))
+        ss = generate_scores(GeneratorSpec())
+        config = LossConfig(pair_filter=FilterSpec(mode=FilterMode.VALID_NEG_COUNT), budget=PairBudget(100))
+        gradient_error_driven(ss, config)
+        assert calls == [1]
 
     def test_arrays_are_copied(self):
         scores, labels = np.array([0.2, 0.7]), np.array([1, 0])
