@@ -24,13 +24,15 @@ alongside the gradient.
 Anchors are evaluated in row blocks: each block is one rows x width matrix
 of score differences against the first `width` selected negatives, where
 width is the largest kept count among its rows, and it holds at most
-ranking.BLOCK_DOUBLES slots. A restricted row keeps a prefix of the
-selection, and every kernel output is zeroed past it. Per-anchor pair sums
-are exactly rounded, equal to math.fsum bit for bit and independent of pair
-order: a compensated TwoSum tree sums a whole block and certifies each row's
-rounding, and the rows it cannot certify (exact rounding midpoints,
-overflow) go through math.fsum. Negative-side gradients add up in anchor
-order, so results are bitwise independent of the block size.
+BLOCK_DOUBLES slots. A restricted row keeps a prefix of the selection, and
+every kernel output is zeroed past it. Per-anchor pair sums are exactly
+rounded, equal to math.fsum bit for bit and independent of pair order: each
+row is split on a power-of-two grid by the ExtractScalar split that the
+ranks use (ranking._levels), two of its three level sums are exact, a bound
+in the block width certifies each row's rounding, and the rows it cannot
+certify (exact rounding midpoints, overflow) go through math.fsum.
+Negative-side gradients add up in anchor order, so results are bitwise
+independent of the block size.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from .distance import (
 )
 from .ranking import (
     RankStats,
+    _levels,
     compute_ranks,
-    row_blocks,
     select_top_q_negatives,
     valid_negative_count,
 )
@@ -93,81 +95,74 @@ class LossResult:
         return sum(s.active_pairs for s in self.stats)
 
 
-def _tree_sums(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of each column of a 2-D block, and a mask of the columns whose sum is proven exactly rounded.
+BLOCK_DOUBLES = 1 << 16  # most doubles one block of anchor rows holds, so memory stays bounded
 
-    Every column holds values of one sign (all >= 0 or all <= 0); the block
-    is scratch and is overwritten. A pairwise tree adds the top half of the
-    live rows onto the bottom half, level by level, in double-double: hi
-    parts through the error-free TwoSum, lo parts (the TwoSum errors) in
-    plain doubles. Columns run along the fast axis, so each level is a few
-    contiguous whole-array operations.
 
-    Certificate. Let u = 2^-53, d the number of levels and S the exact
-    column sum. A TwoSum error is at most u times its rounded sum; the sums
-    of one level cover disjoint parts of a one-sign column, so they add to
-    at most (1 + u)^d |S| and the errors of all levels to at most
-    d u (1 + u)^d |S|. Each error reaches the root lo through at most 3d
-    plain additions (three per level), so lo is off by at most gamma_3d
-    times that, 3 d^2 u^2 |S| (1 + 2^-40) for d <= 64. One more TwoSum
-    gives hi + lo = r + t exactly, so |S - r| <= |t| + that, and
-    |S| <= (1 + 2u) |r|. The bound 4 d^2 u^2 |r| covers it, with room for
-    the rounding of its own product (below the normal range the true error
-    is a multiple of 2^-1074, which round-to-nearest cannot undercut). When
-    2 (|t| + bound) < |r| - nextafter(|r|, 0), the smaller spacing next to
-    r, S lies strictly inside r's rounding interval; rounding is monotone,
-    so the comparison is safe in floating point. A one-sign column sums to
-    0 only when all of it is zero, which is exact. What fails are exact
-    rounding midpoints, sums within the bound of one, and non-finite r.
-    Zero sums come back as +0.0, as math.fsum returns them: x - x is +0.0
-    under round-to-nearest, so a zero sum's a-side TwoSum error, its lo
-    and hi + lo are all +0.0.
+def row_blocks(n_rows: int, width: int) -> list[slice]:
+    """Slices covering range(n_rows), each of at most BLOCK_DOUBLES // width rows (at least one)."""
+    step = max(1, BLOCK_DOUBLES // max(width, 1))
+    return [slice(start, start + step) for start in range(0, n_rows, step)]
+
+
+def _certified_sums(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of each row of a 2-D block, and a mask of the rows whose sum is proven exactly rounded.
+
+    Every row holds values of one sign. Each row is scaled by 2**g, g from
+    its peak exponent, so that its largest magnitude lies in
+    [2**(105 - 2m), 2**(106 - 2m)), with 2**m >= 4 (width + 2) as in
+    ranking.compute_ranks, and split by ranking._levels. The first level's
+    parts are multiples of 2**(53 - m) and the second's integers, and a row
+    holds fewer than 2**(m - 2) of them (fewer than 2**m would do), so every
+    partial sum of either level is a double: their sums along the row are
+    exact in any order. The third level's parts are at most 1 in magnitude,
+    so its sum is off by at most gamma_(width - 1) width (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, eq. 4.4), whatever order
+    numpy adds in.
+
+    Certificate. Let u = 2^-53 and S the exact scaled row sum. The second
+    and third sums add to low within u |low|, and TwoSum joins low to the
+    first: hi + t is exactly their sum, so |S - hi| <= |t| + u |low| +
+    gamma_(width - 1) width. The term width^2 2^-52 / (1 - width u) is at
+    least twice the last; the slack covers its own rounding and the at most
+    2^-1075 that a term far below its row's peak can lose to a scaling
+    into the subnormal range. When 2 (|t| + bound) < |hi| -
+    nextafter(|hi|, 0), the smaller spacing next to hi, S lies strictly
+    inside hi's rounding interval; rounding is monotone, so the comparison
+    is safe in floating point. Scaling back by 2**-g is exact unless it
+    leaves the normal range, which the round trip through ldexp checks: a
+    subnormal sum that survives it lies on a coarser grid than hi's. A row
+    whose peak is 0 is all zeros, and its sum is +0.0, as math.fsum returns
+    it. What fails are exact rounding midpoints, sums within the bound of
+    one, and sums that overflow.
     """
-    width, n = cols.shape
-    if width <= 1:
-        return (cols[0] + 0.0 if width else np.zeros(n)), np.ones(n, dtype=bool)
-    cur, nxt, lo = cols, np.empty_like(cols), np.empty(((width + 1) // 2, n))
-    depth = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing column reads non-finite and fails
-        while width > 1:
-            h = width // 2
-            a, b, s, bp, low = cur[:h], cur[h : 2 * h], nxt[:h], nxt[h : 2 * h], lo[:h]
-            np.add(a, b, out=s)
-            np.subtract(s, a, out=bp)
-            np.subtract(b, bp, out=b)  # b's rounding error
-            np.subtract(s, bp, out=bp)
-            np.subtract(a, bp, out=a)  # a's rounding error
-            if depth:
-                low += lo[h : 2 * h]
-                low += a
-                low += b
-            else:
-                np.add(a, b, out=low)
-            if width % 2:
-                nxt[h] = cur[2 * h]
-                lo[h] = lo[2 * h] if depth else 0.0
-            cur, nxt = nxt, cur
-            width = h + width % 2
-            depth += 1
-        hi, low = cur[0], lo[0]
-        r = hi + low
-        bp = r - hi
-        t = (hi - (r - bp)) + (low - bp)
-        size = np.abs(r)
-        bound = 4 * depth * depth * 2.0**-106 * size
-        certified = (2.0 * (np.abs(t) + bound) < size - np.nextafter(size, 0.0)) | (r == 0.0)
-    return r, certified
+    width = block.shape[1]
+    m = (4 * width + 7).bit_length()  # 2**m >= 4 (width + 2)
+    peak = np.maximum(block.max(axis=1, initial=0.0), -block.min(axis=1, initial=0.0))
+    grid = (106 - 2 * m) - np.frexp(peak)[1]
+    first, second, third = (part.sum(axis=1) for part in _levels(np.ldexp(block, grid[:, None]), 2.0 ** (106 - m)))
+    low = second + third
+    hi = first + low
+    bp = hi - first
+    t = (first - (hi - bp)) + (low - bp)
+    size = np.abs(hi)
+    bound = 2.0**-53 * np.abs(low) + width * width * 2.0**-52 / (1.0 - width * 2.0**-53)
+    certified = (2.0 * (np.abs(t) + bound) < size - np.nextafter(size, 0.0)) | (peak == 0.0)
+    with np.errstate(over="ignore"):  # a sum that overflows reads inf and fails the round trip
+        sums = np.ldexp(hi, -grid)
+    certified &= np.ldexp(sums, grid) == hi
+    return sums, certified
 
 
 def _row_sums(block: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """math.fsum of each row of a 2-D block, bit for bit.
 
     Every row holds values of one sign; a restricted row is +0.0 past its
-    prefix, which changes neither fsum nor the tree's sum. Rows the tree sum
-    cannot certify go through math.fsum; a row whose sum overflows raises
-    ValidationError naming its anchor.
+    prefix, which changes neither fsum nor the split sums. _certified_sums
+    sums the whole block by the ExtractScalar split and certifies each
+    row's rounding; the rows it cannot certify go through math.fsum, and a
+    row whose sum overflows raises ValidationError naming its anchor.
     """
-    sums, certified = _tree_sums(block.T.copy())
+    sums, certified = _certified_sums(block)
     for i in np.flatnonzero(~certified):
         try:
             sums[i] = fsum(block[i].tolist())
@@ -190,7 +185,7 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: GradientForm | None
     pos = score_set.positive_indices
     n = len(score_set)
     sel = select_top_q_negatives(score_set, config.budget)
-    truncated = sel.size < score_set.negative_indices.size
+    truncated = sel.size < score_set.negatives_by_score.size
 
     if pos.size == 0:
         grad = np.zeros(n) if want_grad else None

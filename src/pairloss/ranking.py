@@ -69,13 +69,6 @@ _LARGEST = float(np.finfo(np.float64).max)
 _GROUP_SHIFT = np.array([[3], [1]], dtype=np.int32)  # with _GROUP_OFFSET, the groups' top exponents; see compute_ranks
 _GROUP_OFFSET = np.array([[0], [2]], dtype=np.int32)
 _GROUP_SHIFT.flags.writeable = _GROUP_OFFSET.flags.writeable = False
-BLOCK_DOUBLES = 1 << 16  # most doubles one block of anchor rows holds, so memory stays bounded
-
-
-def row_blocks(n_rows: int, width: int) -> list[slice]:
-    """Slices covering range(n_rows), each of at most BLOCK_DOUBLES // width rows (at least one)."""
-    step = max(1, BLOCK_DOUBLES // max(width, 1))
-    return [slice(start, start + step) for start in range(0, n_rows, step)]
 
 
 def _check_anchors(score_set: ScoreSet, u) -> tuple[np.ndarray, bool]:
@@ -132,6 +125,8 @@ def _leading_counts(ascending: np.ndarray, s_u: np.ndarray, offset, width: float
 def _levels(x: np.ndarray, top: float):
     """ExtractScalar twice (Rump, Ogita & Oishi 2008): three parts of x that sum to x exactly.
 
+    The one split of the package: compute_ranks sums its levels in prefix
+    sums over the score order, and loss._row_sums along each pair row.
     With top = 2**(106 - m) and |x| < 2**(106 - 2m), the first part holds
     multiples of 2**(53 - m), the second integers of magnitude at most
     2**(53 - m) + 1 and the third the rest, of magnitude at most 1. The parts

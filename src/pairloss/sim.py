@@ -23,9 +23,9 @@ import numpy as np
 from .loss import LossResult, evaluate_with_gradient
 from .types import (
     IGNORE,
+    NEGATIVE,
     POSITIVE,
     DivergenceError,
-    Label,
     LossConfig,
     ScoreSet,
     UndefinedMetricError,
@@ -121,8 +121,8 @@ def generate_scores(spec: GeneratorSpec) -> ScoreSet:
             scores = np.clip(scores, lo, hi)
         labels = np.concatenate(
             [
-                np.full(spec.n_pos, Label.POSITIVE, dtype=np.int64),
-                np.full(spec.n_neg, Label.NEGATIVE, dtype=np.int64),
+                np.full(spec.n_pos, POSITIVE, dtype=np.int64),
+                np.full(spec.n_neg, NEGATIVE, dtype=np.int64),
             ]
         )
     except (MemoryError, ValueError):  # numpy refuses sizes beyond memory or the address space

@@ -34,8 +34,8 @@ from pairloss import (
     gradient_error_driven,
     sigmoid_distance,
 )
-from pairloss import ranking
-from pairloss.loss import _row_sums, _tree_sums
+from pairloss import loss, ranking
+from pairloss.loss import _certified_sums, _row_sums
 
 from conftest import make_set, random_score_set
 
@@ -323,8 +323,8 @@ class TestBlocking:
         sets = [random_score_set(rng, int(rng.integers(20, 120))) for _ in range(6)] + [skipped_head]
         configs = (CE8, NEGCOUNT, LossConfig(budget=PairBudget(3)))
         default = [self._all_forms(ss, config) for ss in sets for config in configs]
-        monkeypatch.setattr(ranking, "BLOCK_DOUBLES", 40)
-        assert len(ranking.row_blocks(10, 20)) == 5
+        monkeypatch.setattr(loss, "BLOCK_DOUBLES", 40)
+        assert len(loss.row_blocks(10, 20)) == 5
         assert [self._all_forms(ss, config) for ss in sets for config in configs] == default
 
     def test_results_independent_of_pair_order(self, monkeypatch):
@@ -343,13 +343,13 @@ class TestBlocking:
         default = [self._all_forms(ss, config) for ss in sets for config in configs]
         select = ranking.select_top_q_negatives
         monkeypatch.setattr("pairloss.loss.select_top_q_negatives", lambda ss, budget: select(ss, budget)[::-1])
-        for block_doubles in (ranking.BLOCK_DOUBLES, 40):
-            monkeypatch.setattr(ranking, "BLOCK_DOUBLES", block_doubles)
+        for block_doubles in (loss.BLOCK_DOUBLES, 40):
+            monkeypatch.setattr(loss, "BLOCK_DOUBLES", block_doubles)
             assert [self._all_forms(ss, config) for ss in sets for config in configs] == default
 
     def test_multi_block_instance_matches_brute_force(self):
         ss = generate_scores(GeneratorSpec(seed=34, n_pos=150, n_neg=1800))
-        assert len(ranking.row_blocks(150, 1800)) > 1
+        assert len(loss.row_blocks(150, 1800)) > 1
         for config in (CE8, NEGCOUNT):
             got = gradient_error_driven(ss, config)
             expect = brute_force_loss(ss, config)
@@ -390,8 +390,8 @@ class TestBlocking:
                 assert got.per_anchor_loss[u] == pytest.approx(value, rel=1e-12, abs=1e-300)
             np.testing.assert_allclose(got.gradient, expect.gradient, rtol=1e-12, atol=0.0)
         assert kept == {0, 1, 2, 3}
-        monkeypatch.setattr(ranking, "BLOCK_DOUBLES", 40)
-        assert len(ranking.row_blocks(30, 3)) > 1
+        monkeypatch.setattr(loss, "BLOCK_DOUBLES", 40)
+        assert len(loss.row_blocks(30, 3)) > 1
         assert [self._all_forms(ss, config) for ss in sets] == default
 
 
@@ -472,6 +472,32 @@ class TestRowSums:
             rows.append([sign * m for m in data.draw(st.lists(_MAGNITUDES, min_size=size, max_size=size))])
         assert _strict_row_sums(rows).tobytes() == _fsum_rows(rows).tobytes()
 
+    @pytest.mark.parametrize(
+        ("rows", "width"),
+        [
+            (1, 99_800),  # one anchor alone wider than a block, as ranksum eval keeps on a 200/99 800 set
+            (4, 1 << 14),  # a full 2**16-slot block
+            (6, 30),  # 30 and 31, 16 382 and 16 383: the widths on each side of a step in the split's grid
+            (6, 31),
+            (6, 16_382),
+            (6, 16_383),
+        ],
+    )
+    def test_bitwise_equal_to_fsum_at_block_widths(self, rows, width):
+        # rows spanning subnormals to about 1e300 alternate with rows near the top of one binade, whose
+        # level sums run nearest their limits; every row takes one sign
+        rng = np.random.default_rng(width)
+        block = np.empty((rows, width))
+        for i in range(rows):
+            if i % 2:
+                exponents, mantissas = np.full(width, rng.integers(-1074, 998)), rng.uniform(0.875, 1.0, width)
+            else:
+                exponents, mantissas = rng.integers(-1074, 998, width), rng.uniform(0.5, 1.0, width)
+                exponents[:2] = -1074, 997
+            block[i] = (-1) ** ((i + 1) // 2) * np.ldexp(mantissas, exponents)
+        assert np.abs(block).max() < 2.0**997 and np.abs(block).min() < 2.0**-1073
+        assert _strict_row_sums(block.tolist()).tobytes() == _fsum_rows(block.tolist()).tobytes()
+
     def test_edge_rows(self):
         edge_rows = [
             [],
@@ -491,10 +517,10 @@ class TestRowSums:
     def test_exact_midpoints_take_the_fallback(self):
         # each exact sum lies halfway between two doubles, so only math.fsum can round it
         for row in ([1.0, 2.0**-53], [1.0, 2.0**-54, 2.0**-54], [-1.0, -(2.0**-53)], [3.0, 2.0**-52]):
-            sums, certified = _tree_sums(np.array([row]).T.copy())
+            sums, certified = _certified_sums(np.array([row]))
             assert not certified[0]
             assert _strict_row_sums([row])[0] == math.fsum(row)
-        sums, certified = _tree_sums(np.array([[1.0, 2.0**-60, 0.5], [-0.0, -0.0, -0.0]]).T.copy())
+        sums, certified = _certified_sums(np.array([[1.0, 2.0**-60, 0.5], [-0.0, -0.0, -0.0]]))
         assert certified.all()
         assert sums.tobytes() == np.array([math.fsum([1.0, 2.0**-60, 0.5]), 0.0]).tobytes()
 
@@ -576,7 +602,7 @@ class TestMemory:
             tracemalloc.stop()
         assert result.active_pairs == 300 * 20000
         # a few block-sized temporaries plus O(n) per-set arrays; the full matrix would be 48 MB
-        assert peak < 10 * ranking.BLOCK_DOUBLES * 8 + 16 * len(ss) * 8
+        assert peak < 10 * loss.BLOCK_DOUBLES * 8 + 16 * len(ss) * 8
 
     def test_rank_memory_is_linear_in_the_set(self):
         # the ranks read every positive-negative pair whatever the budget: 2 000 x 50 000 ramp values would take 800 MB

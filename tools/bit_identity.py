@@ -1,0 +1,141 @@
+"""Check that two source trees of pairloss give the same results bit for bit.
+
+Usage:
+
+    python3 tools/bit_identity.py OTHER_SRC
+
+OTHER_SRC is the directory that holds another tree's `pairloss` package,
+for example the `src` of a checkout of the parent commit. One fixed corpus
+is evaluated in two child processes, one on this repository's `src` and one
+on OTHER_SRC: generated, edge and overflow score sets, each under ranksum
+and negcount, Q in {unlimited, 1, 3}, lambda in {0.5, 8, 1e-307}, and the
+forward loss and both gradient forms. The scores are drawn here with numpy,
+not by the trees under test. A result is equal when total_loss, the
+per-anchor losses, the gradient bytes and the stats all match bit for bit,
+or when both trees raise the same error type with the same message.
+
+Prints how many results are equal and the first difference; exits 0 when
+every result is equal and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+# a child puts its tree and this directory first on sys.path, then dumps the corpus results to stdout
+CHILD = "import sys; sys.path[:0] = sys.argv[1:]; import bit_identity; bit_identity.dump(sys.argv[1])"
+
+
+def score_sets() -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """The corpus inputs: (name, scores, labels), drawn from fixed seeds."""
+    rng = np.random.Generator(np.random.PCG64(20240))
+
+    def generated(n_pos, n_neg, pos_mean, neg_mean, std):
+        scores = np.concatenate([rng.normal(pos_mean, std, n_pos), rng.normal(neg_mean, std, n_neg)])
+        return scores, np.array([1] * n_pos + [0] * n_neg)
+
+    lattice = rng.integers(0, 8, 90) / 4.0
+    magnitudes = rng.choice([-1.0, 1.0], 200) * np.ldexp(rng.uniform(0.5, 1.0, 200), rng.integers(-60, 10, 200))
+    return [
+        ("generated 30/300", *generated(30, 300, 0.6, 0.4, 0.2)),
+        ("generated 300/1000, several blocks", *generated(300, 1000, 0.45, 0.55, 0.2)),
+        ("generated 2/70000, rows wider than a block", *generated(2, 70_000, 0.5, 0.5, 0.3)),
+        ("generated magnitudes 2^-60..2^10", magnitudes, rng.permutation([1] * 60 + [0] * 140)),
+        ("edge lattice ties", lattice, rng.permutation([1] * 30 + [0] * 60)),
+        ("edge signed zeros", np.array([0.0, -0.0, 0.0, -0.0, 0.25, 0.25, -0.25]), np.array([1, 1, 0, 0, 1, 0, 0])),
+        ("edge all tied", np.full(10, 0.5), np.array([1] + [0] * 9)),
+        ("edge no positives", np.array([0.1, 0.2, 0.3]), np.array([0, 0, 0])),
+        ("edge no negatives", np.array([0.1, 0.2, 0.3]), np.array([1, 1, 1])),
+        ("edge ignored entries", rng.uniform(0, 1, 40), rng.permutation([1] * 10 + [0] * 20 + [-1] * 10)),
+        ("edge subnormals", np.arange(1, 21) * 5e-324, np.array([1, 0] * 10)),
+        ("edge offset 1e15", 1e15 + rng.normal(0.0, 1.0, 60), rng.permutation([1] * 20 + [0] * 40)),
+        ("overflow pair sum", np.array([1e306] * 100 + [-1e306]), np.array([0] * 100 + [1])),
+        ("overflow kept difference", np.array([-1e308, 1e308]), np.array([1, 0])),
+        ("overflow total loss", np.array([-8e307] * 10 + [8e307]), np.array([1] * 10 + [0])),
+        ("overflow outside the kept pairs", np.array([9e307, 8.9e307, 8.95e307, 9.1e307, -1e308]), np.array([1, 1, 0, 0, 0])),
+        ("overflow past a prefix", np.array([1.7e308, -2e307, 1.75e308, -1e307]), np.array([1, 1, 0, 0])),
+    ]
+
+
+def _record(result) -> tuple:
+    """Every bit of a LossResult, as comparable plain values."""
+    return (
+        result.total_loss.hex(),
+        tuple((u, value.hex()) for u, value in result.per_anchor_loss.items()),
+        None if result.gradient is None else result.gradient.tobytes(),
+        tuple(tuple(x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(s)) for s in result.stats),
+        result.truncated,
+        result.no_anchors,
+    )
+
+
+def dump(src: str) -> None:
+    """Evaluate the corpus with the pairloss found on sys.path and pickle the results to stdout."""
+    import pairloss as pl
+
+    if not Path(pl.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"pairloss imported from {pl.__file__}, not from {src}")
+    forms = {"forward": pl.evaluate_loss, "error-driven": pl.gradient_error_driven, "autodiff-ce": pl.gradient_autodiff_ce}
+    results = []
+    for name, scores, labels in score_sets():
+        score_set = pl.ScoreSet(scores, labels)
+        for mode in (pl.FilterMode.RANK_SUM, pl.FilterMode.VALID_NEG_COUNT):
+            for q in (None, 1, 3):
+                for lam in (0.5, 8.0, 1e-307):
+                    config = pl.LossConfig(
+                        distance=pl.DistanceSpec(lam=lam), pair_filter=pl.FilterSpec(mode=mode), budget=pl.PairBudget(q)
+                    )
+                    for form, evaluate in forms.items():
+                        case = f"{name}, {mode.value}, Q={q or 'unlimited'}, lambda={lam!r}, {form}"
+                        try:
+                            record = ("result", *_record(evaluate(score_set, config)))
+                        except Exception as error:  # an error counts as a result: its type and message
+                            record = ("error", type(error).__name__, str(error))
+                        results.append((case, record))
+    pickle.dump(results, sys.stdout.buffer)
+
+
+def _run(src: Path) -> list:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    out = subprocess.run([sys.executable, "-c", CHILD, str(src), str(HERE)], env=env, capture_output=True, check=False)
+    if out.returncode:
+        raise SystemExit(f"evaluating the corpus on {src} failed:\n{out.stderr.decode(errors='replace')}")
+    return pickle.loads(out.stdout)
+
+
+_FIELDS = ("kind", "total_loss", "per_anchor_loss", "gradient", "stats", "truncated", "no_anchors")
+
+
+def _summary(record: tuple) -> str:
+    return f"{record[1]}: {record[2]}" if record[0] == "error" else f"total_loss {float.fromhex(record[1])!r}"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python3 tools/bit_identity.py OTHER_SRC", file=sys.stderr)
+        return 2
+    ours, theirs = _run(HERE.parent / "src"), _run(Path(argv[0]))
+    assert [case for case, _ in ours] == [case for case, _ in theirs]
+    differ = [(case, a, b) for (case, a), (_, b) in zip(ours, theirs) if a != b]
+    print(f"{len(ours) - len(differ)} of {len(ours)} results equal bit for bit")
+    if differ:
+        case, a, b = differ[0]
+        fields = _FIELDS if a[0] == "result" else ("kind", "error type", "message")
+        names = ["kind"] if a[0] != b[0] else [field for field, x, y in zip(fields, a, b) if x != y]
+        print(f"first difference: {case}: {', '.join(names)}")
+        print(f"  this tree: {_summary(a)}")
+        print(f"  OTHER_SRC: {_summary(b)}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
