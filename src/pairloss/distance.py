@@ -15,18 +15,22 @@ Numerical notes. Every ramp value comes from one helper, _ramp, which
 computes 0.5 + 0.5*(x/delta) inside the clamp: huge |x| cannot overflow the
 way (x + delta) can, and x = +-inf reads as the ramp's limit, 1 or 0. Every
 sigmoid value comes from one helper, _sigmoid(z) = 1 / (1 + exp(-z)); where
-exp overflows the quotient saturates to exactly 0. The cross-entropy form
--(1/lam)*log(1 - sigmoid(lam*x)) loses everything to rounding once
-lam*x > ~37, so every softplus value comes from one helper, _softplus(z) =
-max(z, 0) + log1p(exp(-|z|)) (Maechler, "Accurately computing
-log(1 - exp(-|a|))", Rmpfr vignette, 2012), the same function arranged
-without the cancellation: exp(-|z|) lies in [0, 1], so a finite z never
-overflows it, and both exp and log1p run on numpy's SIMD code. CE is
-_softplus(lam*x)/lam. Where that overflows, CE(x) = x only if
-softplus(lam*x) rounds to lam*x (or lam*x is inf): there the true value
-rounds to x. Any other overflow is the cross-entropy's own, as for every x
-once lam < log(2) / DBL_MAX (about 3.86e-309), or for x near DBL_MAX with
-lam*x of order 1, and raises ValidationError naming lam.
+exp overflows the quotient saturates to exactly 0. It runs in the one array
+that holds lam*x, a 0-d array for a scalar x: negate, exp, add 1 and divide
+1 by the sum, each in place, which gives the bits of the expression. The
+cross-entropy form -(1/lam)*log(1 - sigmoid(lam*x)) loses everything to
+rounding once lam*x > ~37, so every softplus value comes from one helper,
+_softplus(z) = max(z, 0) + log1p(exp(-|z|)) (Maechler, "Accurately
+computing log(1 - exp(-|a|))", Rmpfr vignette, 2012), the same function
+arranged without the cancellation: exp(-|z|) lies in [0, 1], so a finite z
+never overflows it, and both exp and log1p run on numpy's SIMD code. -|z|
+is spelled np.negative(np.abs(z)): two SIMD passes that give the bits of
+np.copysign(z, -1) in less than half its time. CE is _softplus(lam*x)/lam.
+Where that overflows, CE(x) = x only if softplus(lam*x) rounds to lam*x (or
+lam*x is inf): there the true value rounds to x. Any other overflow is the
+cross-entropy's own, as for every x once lam < log(2) / DBL_MAX (about
+3.86e-309), or for x near DBL_MAX with lam*x of order 1, and raises
+ValidationError naming lam.
 
 Determinism. np.exp and np.log1p run on the SIMD code numpy selects for the
 CPU at import (NEP 38 dispatch), so sigmoid and cross-entropy values are
@@ -58,9 +62,20 @@ def _ret(arr: np.ndarray, scalar: bool):
     return float(arr) if scalar else arr
 
 
+def _scaled(arr: np.ndarray, lam: float) -> np.ndarray:
+    """lam * arr in a new float array, 0-d for a 0-d arr, which the kernels then overwrite."""
+    return np.multiply(arr, lam, out=np.empty_like(arr))
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)); callers ignore the overflow of exp(-z), which saturates the result to 0."""
-    return 1.0 / (1.0 + np.exp(-z))
+    """1 / (1 + exp(-z)), computed in the float array z, which it returns.
+
+    Callers ignore the overflow of exp(-z), which saturates the result to 0.
+    """
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -68,7 +83,8 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
     exp(-|z|) lies in [0, 1], so a finite z gives a finite value, and z = +inf gives +inf.
     """
-    t = np.copysign(z, -1.0, out=np.empty_like(z))
+    t = np.abs(z, out=np.empty_like(z))
+    np.negative(t, out=t)
     np.exp(t, out=t)
     np.log1p(t, out=t)
     np.maximum(z, 0.0, out=z)
@@ -99,7 +115,7 @@ def sigmoid_distance(x, lam: float = 8.0):
     arr, scalar = _prepare(x)
     # lam * x may overflow to +-inf for extreme scores; the sigmoid saturates correctly
     with np.errstate(over="ignore"):
-        return _ret(_sigmoid(lam * arr), scalar)
+        return _ret(_sigmoid(_scaled(arr, lam)), scalar)
 
 
 def sigmoid_distance_grad_wrt_u(x, lam: float = 8.0):
@@ -111,8 +127,7 @@ def sigmoid_distance_grad_wrt_u(x, lam: float = 8.0):
     lam = finite("lam", lam, gt=0)
     arr, scalar = _prepare(x)
     with np.errstate(over="ignore"):
-        z = lam * arr
-        return _ret(-lam * _sigmoid(z) * _sigmoid(-z), scalar)
+        return _ret(-lam * _sigmoid(_scaled(arr, lam)) * _sigmoid(_scaled(arr, -lam)), scalar)
 
 
 def ce_distance(x, lam: float = 8.0):
@@ -127,8 +142,7 @@ def ce_distance(x, lam: float = 8.0):
     lam = finite("lam", lam, gt=0)
     arr, scalar = _prepare(x)
     with np.errstate(over="ignore"):
-        # an array even for a scalar x, which _softplus overwrites
-        out = _softplus(np.multiply(arr, lam, out=np.empty_like(arr)))
+        out = _softplus(_scaled(arr, lam))
         out /= lam
         if out.max(initial=0.0) == np.inf:
             over = np.isinf(out)
@@ -150,7 +164,8 @@ def ce_distance_grad_wrt_u(x, lam: float = 8.0):
     lam = finite("lam", lam, gt=0)
     arr, scalar = _prepare(x)
     with np.errstate(over="ignore"):
-        return _ret(-_sigmoid(lam * arr), scalar)
+        slopes = _sigmoid(_scaled(arr, lam))
+        return _ret(np.negative(slopes, out=slopes), scalar)
 
 
 def distance_value(x, spec: DistanceSpec):

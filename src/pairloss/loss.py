@@ -26,13 +26,15 @@ of score differences against the first `width` selected negatives, where
 width is the largest kept count among its rows, and it holds at most
 BLOCK_DOUBLES slots. A restricted row keeps a prefix of the selection, and
 every kernel output is zeroed past it. Per-anchor pair sums are exactly
-rounded, equal to math.fsum bit for bit and independent of pair order: each
-row is split on a power-of-two grid by the ExtractScalar split that the
-ranks use (ranking._levels), two of its three level sums are exact, a bound
-in the block width certifies each row's rounding, and the rows it cannot
-certify (exact rounding midpoints, overflow) go through math.fsum.
-Negative-side gradients add up in anchor order, so results are bitwise
-independent of the block size.
+rounded, equal to math.fsum bit for bit and independent of pair order: one
+ExtractScalar split per row, on a power-of-two grid set by the row's peak,
+gives a sum of parts that is exact and a sum of remainders whose rounding a
+bound in the block width certifies; the rows it cannot certify (exact
+rounding midpoints, sums that overflow, rows near either end of the double
+range) go through math.fsum. Negative-side gradients are folded block by
+block into one carried array over the selection, row after row, so each
+negative's terms add up in anchor order and results are bitwise independent
+of the block size.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .distance import (
 )
 from .ranking import (
     RankStats,
-    _levels,
     compute_ranks,
     select_top_q_negatives,
     valid_negative_count,
@@ -107,50 +108,68 @@ def row_blocks(n_rows: int, width: int) -> list[slice]:
 def _certified_sums(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum of each row of a 2-D block, and a mask of the rows whose sum is proven exactly rounded.
 
-    Every row holds values of one sign. Each row is scaled by 2**g, g from
-    its peak exponent, so that its largest magnitude lies in
-    [2**(105 - 2m), 2**(106 - 2m)), with 2**m >= 4 (width + 2) as in
-    ranking.compute_ranks, and split by ranking._levels. The first level's
-    parts are multiples of 2**(53 - m) and the second's integers, and a row
-    holds fewer than 2**(m - 2) of them (fewer than 2**m would do), so every
-    partial sum of either level is a double: their sums along the row are
-    exact in any order. The third level's parts are at most 1 in magnitude,
-    so its sum is off by at most gamma_(width - 1) width (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2002, eq. 4.4), whatever order
-    numpy adds in.
+    Every row holds values of one sign. Let u = 2^-53, w the width, e the
+    exponent of a row's peak (the peak lies in [2**(e - 1), 2**e)), k = e + m
+    with 2**m >= 4 (w + 2) as in ranking.compute_ranks, and sigma = 2**k
+    with the sign opposite to the row's. One ExtractScalar split (Rump, Ogita
+    & Oishi, SIAM J. Sci. Comput. 31(1), 2008) with sigma broadcast as a
+    column: sigma + x lies in [2**(k - 1), 2**k] in magnitude, where doubles
+    are spaced 2**(k - 53), and subtracting sigma is exact (Sterbenz), so
+    part = (x + sigma) - sigma is x rounded to that grid and rest = x - part
+    is exact, with |rest| <= 2**(k - 54). The parts are multiples of
+    2**(k - 53) of magnitude at most 2**e, and a row holds fewer than
+    2**(m - 2) of them, so every partial sum of parts lies below 2**(k - 2)
+    and is a double: their sum along the row is exact in any order. The sum
+    of the rests is off by at most gamma_(w - 1) w 2**(k - 54) (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, eq. 4.4),
+    whatever order numpy adds in.
 
-    Certificate. Let u = 2^-53 and S the exact scaled row sum. The second
-    and third sums add to low within u |low|, and TwoSum joins low to the
-    first: hi + t is exactly their sum, so |S - hi| <= |t| + u |low| +
-    gamma_(width - 1) width. The term width^2 2^-52 / (1 - width u) is at
-    least twice the last; the slack covers its own rounding and the at most
-    2^-1075 that a term far below its row's peak can lose to a scaling
-    into the subnormal range. When 2 (|t| + bound) < |hi| -
-    nextafter(|hi|, 0), the smaller spacing next to hi, S lies strictly
-    inside hi's rounding interval; rounding is monotone, so the comparison
-    is safe in floating point. Scaling back by 2**-g is exact unless it
-    leaves the normal range, which the round trip through ldexp checks: a
-    subnormal sum that survives it lies on a coarser grid than hi's. A row
-    whose peak is 0 is all zeros, and its sum is +0.0, as math.fsum returns
-    it. What fails are exact rounding midpoints, sums within the bound of
-    one, and sums that overflow.
+    Certificate. With S the exact row sum, TwoSum joins the two: hi + t is
+    exactly first + low, so |S - hi| <= |t| + gamma_(w - 1) w 2**(k - 54).
+    The bound w^2 2**(k - 106) / (1 - w u) is at least twice the last term;
+    the slack covers its own rounding and that of |t| + bound. When
+    2 (|t| + bound) < |hi| - nextafter(|hi|, 0), the smaller spacing next to
+    hi, S lies strictly inside hi's rounding interval; rounding is monotone,
+    so the comparison is safe in floating point. A row whose peak is 0 is
+    all zeros, and its sum is +0.0, as math.fsum returns it. Three kinds of
+    row are left uncertified, for math.fsum to decide:
+      - k > 1023, where sigma would overflow. A row with k <= 1023 sums to
+        less than w 2**e < 2**(k - 2) <= 2**1021, so every row whose sum
+        overflows is one;
+      - k < -916, where the bound's unit 2**(k - 106) leaves the normal
+        range and so would round with an absolute, not a relative, error
+        (every row whose peak lies below 2**-1000 is one);
+      - a sum within the bound of a rounding boundary, exact midpoints
+        included. As w < 2**(m - 2), twice the bound is below 2**(3m - 55)
+        of the spacing next to hi in the worst case, hi near the peak, where
+        that spacing is at least 2**(e - 54): at widths up to 16 382
+        (m <= 16) that leaves 7 bits of margin, while a 99 800-wide row
+        (m = 19) whose one value dominates keeps none and goes to math.fsum.
+    Such rows still run through the split, with sigma capped at 2**1023;
+    as its sign is opposite to the row's, x + sigma never overflows.
     """
     width = block.shape[1]
     m = (4 * width + 7).bit_length()  # 2**m >= 4 (width + 2)
-    peak = np.maximum(block.max(axis=1, initial=0.0), -block.min(axis=1, initial=0.0))
-    grid = (106 - 2 * m) - np.frexp(peak)[1]
-    first, second, third = (part.sum(axis=1) for part in _levels(np.ldexp(block, grid[:, None]), 2.0 ** (106 - m)))
-    low = second + third
-    hi = first + low
-    bp = hi - first
-    t = (first - (hi - bp)) + (low - bp)
-    size = np.abs(hi)
-    bound = 2.0**-53 * np.abs(low) + width * width * 2.0**-52 / (1.0 - width * 2.0**-53)
-    certified = (2.0 * (np.abs(t) + bound) < size - np.nextafter(size, 0.0)) | (peak == 0.0)
-    with np.errstate(over="ignore"):  # a sum that overflows reads inf and fails the round trip
-        sums = np.ldexp(hi, -grid)
-    certified &= np.ldexp(sums, grid) == hi
-    return sums, certified
+    peak = block.max(axis=1, initial=0.0)
+    negative = peak == 0.0  # a row of one sign whose largest value is 0 holds no positive one
+    if negative.any():
+        peak[negative] = -block[negative].min(axis=1, initial=0.0)
+    k = np.frexp(peak)[1] + m
+    sigma = np.ldexp(np.where(negative, 1.0, -1.0), np.minimum(k, 1023))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # only uncertified rows overflow
+        part = np.add(block, sigma, out=np.empty_like(block))
+        part -= sigma
+        first = part.sum(axis=1)
+        low = np.subtract(block, part, out=part).sum(axis=1)
+        hi = first + low
+        bp = hi - first
+        t = (first - (hi - bp)) + (low - bp)
+        size = np.abs(hi)
+        bound = np.ldexp(width * width * 2.0**-106 / (1.0 - width * 2.0**-53), k)
+        certified = 2.0 * (np.abs(t) + bound) < size - np.nextafter(size, 0.0)
+    certified &= (k <= 1023) & (k >= -916)
+    certified |= peak == 0.0
+    return hi, certified
 
 
 def _row_sums(block: np.ndarray, anchors: np.ndarray) -> np.ndarray:
@@ -158,7 +177,7 @@ def _row_sums(block: np.ndarray, anchors: np.ndarray) -> np.ndarray:
 
     Every row holds values of one sign; a restricted row is +0.0 past its
     prefix, which changes neither fsum nor the split sums. _certified_sums
-    sums the whole block by the ExtractScalar split and certifies each
+    sums the whole block by one ExtractScalar split and certifies each
     row's rounding; the rows it cannot certify go through math.fsum, and a
     row whose sum overflows raises ValidationError naming its anchor.
     """
@@ -169,6 +188,24 @@ def _row_sums(block: np.ndarray, anchors: np.ndarray) -> np.ndarray:
         except OverflowError:
             raise ValidationError(f"pair sum of anchor {anchors[i]} overflows") from None
     return sums
+
+
+def _fold_rows(carry: np.ndarray, block: np.ndarray) -> None:
+    """Add the rows of a 2-D C-contiguous block into carry[:width] one after another, overwriting the block.
+
+    Each entry of carry gets its column's terms in row order, bit for bit as
+    a loop over the rows would add them, which is what makes the negative
+    side of the gradient independent of the block size. numpy reduces a
+    block of two or more columns along axis 0 row by row; a single column
+    is one contiguous run, which np.add.reduce would sum pairwise, so it
+    goes through np.add.accumulate, which adds in order.
+    """
+    width = block.shape[1]
+    block[0] += carry[:width]
+    if width == 1:
+        carry[0] = np.add.accumulate(block[:, 0])[-1]
+    else:
+        np.add.reduce(block, axis=0, out=carry[:width])
 
 
 def _evaluate(score_set: ScoreSet, config: LossConfig, form: GradientForm | None) -> LossResult:
@@ -206,40 +243,48 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: GradientForm | None
 
     # an anchor's valid negatives are its n_neg highest-scoring ones, so a restricted row is a prefix of sel
     active = np.where(bc > 0, np.minimum(n_neg, sel.size) if restrict else sel.size, 0)
+    width = int(active.max(initial=0))
+    sel_scores = scores[sel[:width]]
     loss = np.zeros(pos.size)
     grad = np.zeros(n) if want_grad else None
-    for rows in row_blocks(live.size, int(active.max(initial=0))):
+    carry = np.zeros(width)  # negative-side gradient by position in the selection
+    for rows in row_blocks(live.size, width):
         at = live[rows]
-        anchors, b = pos[at], bc[at]
-        negs = sel[: active[at].max()]
+        anchors, b, kept = pos[at], bc[at], active[at]
+        w = int(kept.max())
         # the slots past each row's kept prefix; their kernel outputs are zeroed, as no finite difference
         # written there would give exactly zero at every lam
-        tail = np.arange(negs.size) >= active[at, None]
+        tail = np.arange(w) >= kept[:, None] if kept.min() < w else None
         with np.errstate(over="ignore"):  # an overflowed difference fails the distance kernel's finiteness check
-            pair_diffs = scores[negs] - scores[anchors, None]
+            pair_diffs = sel_scores[:w] - scores[anchors, None]
         try:
             values = ce_distance(pair_diffs, lam) if want_grad else distance_value(pair_diffs, config.distance)
         except ValidationError:
-            overflowed = ~(np.isfinite(pair_diffs) | tail).all(axis=1)
+            counted = np.isfinite(pair_diffs) if tail is None else np.isfinite(pair_diffs) | tail
+            overflowed = ~counted.all(axis=1)
             if not overflowed.any():
                 raise  # the kernel's own refusal, such as a lam whose cross-entropy overflows
             raise overflow_error(anchors[overflowed.argmax()]) from None
-        values[tail] = 0.0
+        if tail is not None:
+            values[tail] = 0.0
         loss[at] = _row_sums(values, anchors) / b
         if not want_grad:
             continue
-        # anchors add onto 0.0, so an anchor without pair mass reads +0.0, never -0.0;
-        # np.add.at adds pairs one by one in row order, so each negative sums in anchor order
+        # each pair pulls its anchor down and its negative up by one amount: its sigmoid error mass, or
+        # its negated cross-entropy slope -d CE / d u
         if form is GradientForm.ERROR_DRIVEN:
-            masses = sigmoid_distance(pair_diffs, lam)
-            masses[tail] = 0.0
-            grad[anchors] += -_row_sums(masses, anchors) / b
-            np.add.at(grad, np.tile(negs, at.size), (masses / b[:, None]).ravel())
+            pull = sigmoid_distance(pair_diffs, lam)
         else:
-            slopes = ce_distance_grad_wrt_u(pair_diffs, lam)
-            slopes[tail] = 0.0
-            grad[anchors] += _row_sums(slopes, anchors) / b
-            np.add.at(grad, np.tile(negs, at.size), (-slopes / b[:, None]).ravel())
+            pull = ce_distance_grad_wrt_u(pair_diffs, lam)
+            np.negative(pull, out=pull)
+        if tail is not None:
+            pull[tail] = 0.0
+        # anchors add onto 0.0, so an anchor without pair mass reads +0.0, never -0.0
+        grad[anchors] += -_row_sums(pull, anchors) / b
+        np.divide(pull, b[:, None], out=pull)
+        _fold_rows(carry, pull)
+    if want_grad:
+        grad[sel[:width]] = carry
 
     n_pos = pos.size
     try:

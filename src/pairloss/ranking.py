@@ -125,9 +125,9 @@ def _leading_counts(ascending: np.ndarray, s_u: np.ndarray, offset, width: float
 def _levels(x: np.ndarray, top: float):
     """ExtractScalar twice (Rump, Ogita & Oishi 2008): three parts of x that sum to x exactly.
 
-    The one split of the package: compute_ranks sums its levels in prefix
-    sums over the score order, and loss._row_sums along each pair row.
-    With top = 2**(106 - m) and |x| < 2**(106 - 2m), the first part holds
+    compute_ranks sums the levels in prefix sums over the score order;
+    loss._certified_sums does one such split of its own per pair row. With
+    top = 2**(106 - m) and |x| < 2**(106 - 2m), the first part holds
     multiples of 2**(53 - m), the second integers of magnitude at most
     2**(53 - m) + 1 and the third the rest, of magnitude at most 1. The parts
     come one at a time, in one buffer that the next part overwrites, so that

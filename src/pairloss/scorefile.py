@@ -189,15 +189,22 @@ def _read_lines(text: str) -> ScoreSet:
 
 
 def write_score_file(path: str, score_set: ScoreSet) -> None:
-    """Write a ScoreSet as a score CSV (inverse of read_score_file)."""
+    """Write a ScoreSet as a score CSV (inverse of read_score_file).
+
+    Each score is written as format_float writes it: one %-format per row
+    gives its 15-digit text, and the one text past the largest double is
+    turned toward zero in the joined body. Only a score field can hold it,
+    after a comma or a minus sign, as indices and labels are integers.
+    """
     instance("score_set", score_set, ScoreSet)
-    rows = enumerate(zip(score_set.scores.tolist(), score_set.labels.tolist()))
-    lines = [SCORE_FILE_HEADER, *(f"{i},{format_float(score)},{label}" for i, (score, label) in rows)]
-    write_text(path, "\n".join(lines) + "\n")
+    rows = zip(range(len(score_set)), score_set.scores.tolist(), score_set.labels.tolist())
+    body = "".join(map("%d,%.15g,%d\n".__mod__, rows))
+    write_text(path, SCORE_FILE_HEADER + "\n" + body.replace(_PAST_LARGEST, _BELOW_LARGEST))
 
 
-# the 15-digit texts past the largest double, and the nearest texts toward zero
-_TOWARD_ZERO = {"1.79769313486232e+308": "1.79769313486231e+308", "-1.79769313486232e+308": "-1.79769313486231e+308"}
+# the 15-digit text past the largest double, and the nearest text toward zero, each with either sign
+_PAST_LARGEST, _BELOW_LARGEST = "1.79769313486232e+308", "1.79769313486231e+308"
+_TOWARD_ZERO = {sign + _PAST_LARGEST: sign + _BELOW_LARGEST for sign in ("", "-")}
 
 
 def format_float(x: float) -> str:

@@ -191,9 +191,9 @@ def descend_scores(
         except ValidationError as exc:
             if step == 0:
                 raise
-            raise DivergenceError(f"loss evaluation failed at step {step}: {exc}") from exc
+            raise DivergenceError(f"loss evaluation failed at step {step}: {exc}", step) from exc
         if not math.isfinite(result.total_loss):
-            raise DivergenceError(f"total loss became non-finite at step {step}")
+            raise DivergenceError(f"total loss became non-finite at step {step}", step, value=result.total_loss)
         records.append(
             TrajectoryRecord(
                 step=step,
@@ -209,6 +209,8 @@ def descend_scores(
             updated = current.scores - learning_rate * result.gradient
         bad = np.flatnonzero(~np.isfinite(updated))
         if bad.size:
-            raise DivergenceError(f"scores became non-finite at step {step + 1}: index {bad[0]} is {updated[bad[0]]}")
+            index, value = int(bad[0]), float(updated[bad[0]])
+            message = f"scores became non-finite at step {step + 1}: index {index} is {value}"
+            raise DivergenceError(message, step + 1, index, value)
         current = current.with_scores(updated)
     return Trajectory(records=tuple(records), final=current)

@@ -33,7 +33,16 @@ class UndefinedMetricError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A simulated optimisation produced non-finite losses or scores."""
+    """A simulated optimisation produced non-finite losses or scores.
+
+    step is the step at which it happened, index the element whose score
+    stopped being finite and value the offending total loss or score; each
+    is None where it does not apply.
+    """
+
+    def __init__(self, message: str, step: int | None = None, index: int | None = None, value: float | None = None):
+        super().__init__(message)
+        self.step, self.index, self.value = step, index, value
 
 
 class Label(IntEnum):

@@ -422,6 +422,21 @@ class TestBlockShape:
             with pytest.raises(ValidationError, match=message):
                 fn(ss, NEGCOUNT)
 
+    @pytest.mark.parametrize("fn", [gradient_error_driven, gradient_autodiff_ce])
+    def test_every_row_of_the_criterion_9_instance_is_certified(self, monkeypatch, fn):
+        # the 500 / 9 500 instance in 6 x 9 500 blocks: no row may leave the fast path for math.fsum
+        certify, seen = loss._certified_sums, []
+
+        def spy(block):
+            sums, certified = certify(block)
+            seen.append(certified.copy())
+            return sums, certified
+
+        monkeypatch.setattr(loss, "_certified_sums", spy)
+        fn(generate_scores(GeneratorSpec(seed=9, n_pos=500, n_neg=9500)), LossConfig(budget=PairBudget(100_000)))
+        assert sum(c.size for c in seen) == 2 * 500
+        assert all(c.all() for c in seen)
+
     @pytest.mark.parametrize("q", [1, 2])
     def test_negative_gradients_sum_in_anchor_order(self, q):
         ss = generate_scores(GeneratorSpec(seed=7, n_pos=400, n_neg=60, pos_mean=0.45, neg_mean=0.55))
@@ -433,6 +448,23 @@ class TestBlockShape:
             for s in result.stats:
                 g += float(sigmoid_distance(ss.scores[v] - ss.scores[s.anchor_index], 8.0)) / s.balance_constant
             assert result.gradient[v].hex() == (g / 400).hex()
+
+
+class TestColumnFold:
+    @pytest.mark.parametrize("block_doubles", [loss.BLOCK_DOUBLES, 40])
+    def test_fold_equals_add_at(self, monkeypatch, block_doubles):
+        # terms spread over 2**80, so that a sum in any other order than row by row rounds differently
+        monkeypatch.setattr(loss, "BLOCK_DOUBLES", block_doubles)
+        rng = np.random.default_rng(40)
+        for width in [1, 2, *rng.integers(1, 65, 14).tolist(), 9_500]:
+            rows = int(rng.integers(1, 401))
+            terms = np.ldexp(rng.uniform(0.5, 1.0, (rows, width)), rng.integers(-40, 40, (rows, width)))
+            expect = np.zeros(width)
+            np.add.at(expect, np.tile(np.arange(width), rows), terms.ravel())
+            carry = np.zeros(width)
+            for block in loss.row_blocks(rows, width):
+                loss._fold_rows(carry, terms[block].copy())
+            assert carry.tobytes() == expect.tobytes(), (width, rows)
 
 
 # magnitudes for same-sign rows: plain and subnormal doubles, values near 1e300, zeros, and
@@ -523,6 +555,18 @@ class TestRowSums:
         sums, certified = _certified_sums(np.array([[1.0, 2.0**-60, 0.5], [-0.0, -0.0, -0.0]]))
         assert certified.all()
         assert sums.tobytes() == np.array([math.fsum([1.0, 2.0**-60, 0.5]), 0.0]).tobytes()
+
+
+    def test_rows_at_the_ends_of_the_range_take_the_fallback(self):
+        # width 3 gives m = 5: a peak at or above 2**1018 would overflow the split constant 2**(e + m), and
+        # below 2**-922 the bound's unit leaves the normal range; the peaks just inside are certified
+        largest = [[1e308, 5e307, 1e300], [-(2.0**1018), -1.0, -0.0], [2.0**1018 * 1.5, 2.0**1018, 0.0]]
+        tiny = [[2.0**-1001, 2.0**-1010, 5e-324], [-(2.0**-923), -1e-310, -2.5e-320], [2.0**-1040, 0.0, 0.0]]
+        inside = [[np.nextafter(2.0**1018, 0.0), 1.0, 0.0], [-(2.0**-922), -(2.0**-1000), 0.0]]
+        for rows, proven in ((largest, False), (tiny, False), (inside, True)):
+            sums, certified = _certified_sums(np.array(rows))
+            assert (certified == proven).all()
+            assert _strict_row_sums(rows).tobytes() == _fsum_rows(rows).tobytes()
 
 
 class TestOverflow:

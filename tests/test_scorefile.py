@@ -223,6 +223,17 @@ class TestWriteScoreFile:
         back = read_score_file(path)
         assert back.scores.tolist() == [1.79769313486231e308, -1.79769313486231e308, 1.79769313486231e308, 0.5]
 
+    def test_bytes_equal_the_per_row_format_float_text(self, tmp_path):
+        largest = 1.7976931348623157e308
+        scores = [-0.0, 0.0, 5e-324, -2.5e-320, 1e-310, 1e-5, -1e-5, largest, -largest, 1.797693134862315e308]
+        scores += np.random.default_rng(5).normal(0.0, 1e3, 40).tolist()
+        labels = [1, -1, 0, -1, 1, 0, -1, 1, 0, -1] + [1, 0, -1, 0] * 10
+        path = tmp_path / "out.csv"
+        write_score_file(str(path), make_set(scores, labels))
+        rows = "".join(f"{i},{format_float(score)},{label}\n" for i, (score, label) in enumerate(zip(scores, labels)))
+        assert path.read_bytes() == ("index,score,label\n" + rows).encode("utf-8")
+        assert b"\n0,-0,1\n" in path.read_bytes() and b"\n8,-1.79769313486231e+308,0\n" in path.read_bytes()
+
     def test_unwritable_path(self):
         with pytest.raises(ValidationError, match="^cannot write /nonexistent/x.csv: No such file or directory$"):
             write_score_file("/nonexistent/x.csv", make_set([0.5, 0.25], [1, 0]))

@@ -1,5 +1,8 @@
 """Generator, ranking AP, and training-loop tests."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -229,6 +232,34 @@ class TestSimulateTraining:
             "score differences must be finite"
         )
         assert isinstance(info.value.__cause__, ValidationError)
+
+    def test_non_finite_scores_carry_step_index_and_value(self):
+        ss = make_set([0.0, 0.1, 2.0, 0.2], [1, 1, 0, 1])
+        config = LossConfig(pair_filter=FilterSpec(mode="negcount"), reduction="sum")
+        with pytest.raises(DivergenceError) as info:
+            descend_scores(ss, config, 3, 1e308)
+        assert (info.value.step, info.value.index, info.value.value) == (1, 2, -math.inf)
+
+    def test_failed_evaluation_carries_its_step_alone(self):
+        ss = make_set([1e308] * 20 + [1.01e308], [1] * 20 + [0])
+        with pytest.raises(DivergenceError) as info:
+            descend_scores(ss, LossConfig(reduction="sum"), 3, 1e308)
+        assert (info.value.step, info.value.index, info.value.value) == (1, None, None)
+
+    def test_non_finite_total_loss_carries_step_and_value(self, monkeypatch):
+        # finite scores never give a non-finite total (an overflowing sum is a ValidationError),
+        # so the third evaluation, at step 2, reports one
+        evaluate, calls = sim.evaluate_with_gradient, []
+
+        def blown_at_step_2(score_set, config):
+            calls.append(score_set)
+            result = evaluate(score_set, config)
+            return dataclasses.replace(result, total_loss=math.inf) if len(calls) == 3 else result
+
+        monkeypatch.setattr(sim, "evaluate_with_gradient", blown_at_step_2)
+        with pytest.raises(DivergenceError, match="^total loss became non-finite at step 2$") as info:
+            descend_scores(generate_scores(GeneratorSpec(n_pos=3, n_neg=5)), CE8, 4, 1.0)
+        assert (info.value.step, info.value.index, info.value.value) == (2, None, math.inf)
 
     def test_overflowing_difference_at_step_0_is_a_bad_input(self):
         ss = make_set([1e308, -1e308], [1, 0])

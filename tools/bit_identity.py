@@ -8,8 +8,10 @@ OTHER_SRC is the directory that holds another tree's `pairloss` package,
 for example the `src` of a checkout of the parent commit. One fixed corpus
 is evaluated in two child processes, one on this repository's `src` and one
 on OTHER_SRC: generated, edge and overflow score sets, each under ranksum
-and negcount, Q in {unlimited, 1, 3}, lambda in {0.5, 8, 1e-307}, and the
-forward loss and both gradient forms. The scores are drawn here with numpy,
+and negcount, Q in {unlimited, 1, 3, 200}, lambda in {0.5, 8, 1e-307}, and
+the forward loss and both gradient forms. The generated sets include the
+500 / 9 500 shape of the benchmark's dense workload, whose blocks are
+6 x 9 500 when Q does not bind and 327 x 200 when Q = 200 does. The scores are drawn here with numpy,
 not by the trees under test. A result is equal when total_loss, the
 per-anchor losses, the gradient bytes and the stats all match bit for bit,
 or when both trees raise the same error type with the same message.
@@ -62,6 +64,7 @@ def score_sets() -> list[tuple[str, np.ndarray, np.ndarray]]:
         ("overflow total loss", np.array([-8e307] * 10 + [8e307]), np.array([1] * 10 + [0])),
         ("overflow outside the kept pairs", np.array([9e307, 8.9e307, 8.95e307, 9.1e307, -1e308]), np.array([1, 1, 0, 0, 0])),
         ("overflow past a prefix", np.array([1.7e308, -2e307, 1.75e308, -1e307]), np.array([1, 1, 0, 0])),
+        ("generated 500/9500, the dense benchmark shape", *generated(500, 9500, 0.6, 0.4, 0.1)),
     ]
 
 
@@ -88,7 +91,7 @@ def dump(src: str) -> None:
     for name, scores, labels in score_sets():
         score_set = pl.ScoreSet(scores, labels)
         for mode in (pl.FilterMode.RANK_SUM, pl.FilterMode.VALID_NEG_COUNT):
-            for q in (None, 1, 3):
+            for q in (None, 1, 3, 200):
                 for lam in (0.5, 8.0, 1e-307):
                     config = pl.LossConfig(
                         distance=pl.DistanceSpec(lam=lam), pair_filter=pl.FilterSpec(mode=mode), budget=pl.PairBudget(q)
