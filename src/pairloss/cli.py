@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -323,16 +323,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "lr": descent["learning_rate"],
         "grad_form": config.gradient_form.value,
         "loss_distance": GRADIENT_LOSS,
-        "records": [
-            {
-                "step": r.step,
-                "total_loss": r.total_loss,
-                "ranking_ap": r.ranking_ap,
-                "gradient_norm": r.gradient_norm,
-                "active_pairs": r.active_pairs,
-            }
-            for r in trajectory.records
-        ],
+        "records": [asdict(r) for r in trajectory.records],
         "final_loss": trajectory.final_loss,
         "final_ap": trajectory.final_ap,
     }

@@ -19,18 +19,20 @@ exp overflows the quotient saturates to exactly 0. It runs in the one array
 that holds lam*x, a 0-d array for a scalar x: negate, exp, add 1 and divide
 1 by the sum, each in place, which gives the bits of the expression. The
 cross-entropy form -(1/lam)*log(1 - sigmoid(lam*x)) loses everything to
-rounding once lam*x > ~37, so every softplus value comes from one helper,
-_softplus(z) = max(z, 0) + log1p(exp(-|z|)) (Maechler, "Accurately
-computing log(1 - exp(-|a|))", Rmpfr vignette, 2012), the same function
-arranged without the cancellation: exp(-|z|) lies in [0, 1], so a finite z
-never overflows it, and both exp and log1p run on numpy's SIMD code. -|z|
-is spelled np.negative(np.abs(z)): two SIMD passes that give the bits of
-np.copysign(z, -1) in less than half its time. CE is _softplus(lam*x)/lam.
-Where that overflows, CE(x) = x only if softplus(lam*x) rounds to lam*x (or
-lam*x is inf): there the true value rounds to x. Any other overflow is the
-cross-entropy's own, as for every x once lam < log(2) / DBL_MAX (about
-3.86e-309), or for x near DBL_MAX with lam*x of order 1, and raises
-ValidationError naming lam.
+rounding once lam*x > ~37, so CE is computed as
+max(x, 0) + log1p(exp(-lam*|x|))/lam: Maechler's softplus(z) = max(z, 0) +
+log1p(exp(-|z|)) ("Accurately computing log(1 - exp(-|a|))", Rmpfr
+vignette, 2012), the same function arranged without the cancellation,
+divided by lam term by term. exp(-lam*|x|) lies in [0, 1] (it is 0 where
+lam*|x| overflows), so the second term lies in [0, log(2)/lam], and both
+exp and log1p run on numpy's SIMD code. Both terms are nonnegative, so the
+value overflows only where the cross-entropy itself does: for every x once
+lam < log(2) / DBL_MAX (about 3.86e-309), or for x near DBL_MAX with lam*x
+of order 1. That overflow raises ValidationError naming lam. At a
+power-of-two lam, scaling by lam is exact away from the ends of the double
+range, so with L = log1p(exp(-lam*|x|)), (lam*x + L)/lam and x + L/lam
+round alike and the value equals softplus(lam*x)/lam bit for bit; at any
+other lam the two differ by at most 2 ulp.
 
 Determinism. np.exp and np.log1p run on the SIMD code numpy selects for the
 CPU at import (NEP 38 dispatch), so sigmoid and cross-entropy values are
@@ -78,20 +80,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.divide(1.0, z, out=z)
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    """log(1 + exp(z)) as max(z, 0) + log1p(exp(-|z|)), computed in the float array z, which it returns.
-
-    exp(-|z|) lies in [0, 1], so a finite z gives a finite value, and z = +inf gives +inf.
-    """
-    t = np.abs(z, out=np.empty_like(z))
-    np.negative(t, out=t)
-    np.exp(t, out=t)
-    np.log1p(t, out=t)
-    np.maximum(z, 0.0, out=z)
-    z += t
-    return z
-
-
 def _ramp(x: np.ndarray, delta: float) -> np.ndarray:
     """clip(0.5 + 0.5 * (x / delta), 0, 1); x / delta may overflow to +-inf, which the clamp absorbs."""
     with np.errstate(over="ignore"):
@@ -131,27 +119,25 @@ def sigmoid_distance_grad_wrt_u(x, lam: float = 8.0):
 
 
 def ce_distance(x, lam: float = 8.0):
-    """Cross-entropy distance CE(x) = softplus(lam * x) / lam.
+    """Cross-entropy distance CE(x) = softplus(lam * x) / lam = max(x, 0) + log1p(exp(-lam * |x|)) / lam.
 
     Identical to -(1/lam) * log(1 - S(x)) but immune to the 1 - S
     cancellation for large lam * x. Nonnegative everywhere, ~0 for strongly
     correct pairs, asymptotically linear (slope 1) for strongly wrong ones.
-    A value past the largest double raises ValidationError naming lam,
-    unless it rounds to x (see the module's numerical notes).
+    A value past the largest double is the cross-entropy's own overflow and
+    raises ValidationError naming lam (see the module's numerical notes).
     """
     lam = finite("lam", lam, gt=0)
     arr, scalar = _prepare(x)
-    with np.errstate(over="ignore"):
-        out = _softplus(_scaled(arr, lam))
+    out = np.abs(arr, out=np.empty_like(arr))
+    with np.errstate(over="ignore"):  # lam * |x| past the largest double makes exp give exactly 0
+        out *= -lam
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
         out /= lam
-        if out.max(initial=0.0) == np.inf:
-            over = np.isinf(out)
-            # CE(x) is x where softplus(z) rounds to z (or z is inf); elsewhere the cross-entropy itself overflows
-            z = lam * arr[over]
-            refused = arr[over][_softplus(z.copy()) != z].tolist()
-            if refused:
-                raise ValidationError(f"lam = {lam!r}: the cross-entropy of x = {refused[0]!r} overflows a double")
-            out = np.where(over, arr, out)
+        out += np.maximum(arr, 0.0)
+    if out.max(initial=0.0) == np.inf:
+        raise ValidationError(f"lam = {lam!r}: the cross-entropy of x = {arr.flat[out.argmax()].item()!r} overflows a double")
     return _ret(out, scalar)
 
 

@@ -21,6 +21,14 @@ They are the same function in exact arithmetic; keeping both runnable is what
 makes the equivalence testable. Either gradient call reports cross-entropy loss values
 alongside the gradient.
 
+A kept score difference that overflows a double is refused before any
+pair is evaluated: the selection descends, so two differences per live
+anchor, against the first selected negative and against its last kept one,
+bound all of its kept differences (the gate's comment in _evaluate proves
+that they also bound the differences past a restricted row's prefix). So
+the distance kernels only ever see finite differences, and an overflow they
+report is their own, such as a lam whose cross-entropy overflows.
+
 Anchors are evaluated in row blocks: each block is one rows x width matrix
 of score differences against the first `width` selected negatives, where
 width is the largest kept count among its rows, and it holds at most
@@ -66,11 +74,6 @@ from .types import (
     ValidationError,
     instance,
 )
-
-
-def overflow_error(anchor) -> ValidationError:
-    """The error for a kept pair of finite scores whose difference overflows a double."""
-    return ValidationError(f"a score difference of anchor {anchor} overflows a double; score differences must be finite")
 
 
 @dataclass(frozen=True)
@@ -245,6 +248,21 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: GradientForm | None
     active = np.where(bc > 0, np.minimum(n_neg, sel.size) if restrict else sel.size, 0)
     width = int(active.max(initial=0))
     sel_scores = scores[sel[:width]]
+    if width:
+        # one overflow gate for every block below, on two differences per live anchor. With t_0 >= t_1 >= ...
+        # the selected scores, rounding is monotone, so each kept difference t_j - s_u lies between t_0 - s_u
+        # and t_(a-1) - s_u, a the anchor's kept count. A slot past a restricted row's prefix cannot overflow
+        # alone either: say t_j - s_u2 overflows there, and row u1 keeps column j. Both rows are live, so
+        # t_0 - s_u2 > T and t_j - s_u1 > T for the threshold T >= 0, and
+        #     t_0 - s_u1 = (t_0 - s_u2) + (s_u2 - t_j) + (t_j - s_u1) >= s_u2 - t_j,
+        # which is past the largest double: u1 overflows at its first slot. So the kernels see finite
+        # differences only, and the first anchor named here is the first a block would meet
+        s_live = scores[pos[live]]
+        with np.errstate(over="ignore"):
+            over = (sel_scores[0] - s_live == np.inf) | (sel_scores[active[live] - 1] - s_live == -np.inf)
+        if over.any():
+            anchor = pos[live[over.argmax()]]
+            raise ValidationError(f"a score difference of anchor {anchor} overflows a double; score differences must be finite")
     loss = np.zeros(pos.size)
     grad = np.zeros(n) if want_grad else None
     carry = np.zeros(width)  # negative-side gradient by position in the selection
@@ -255,16 +273,8 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: GradientForm | None
         # the slots past each row's kept prefix; their kernel outputs are zeroed, as no finite difference
         # written there would give exactly zero at every lam
         tail = np.arange(w) >= kept[:, None] if kept.min() < w else None
-        with np.errstate(over="ignore"):  # an overflowed difference fails the distance kernel's finiteness check
-            pair_diffs = sel_scores[:w] - scores[anchors, None]
-        try:
-            values = ce_distance(pair_diffs, lam) if want_grad else distance_value(pair_diffs, config.distance)
-        except ValidationError:
-            counted = np.isfinite(pair_diffs) if tail is None else np.isfinite(pair_diffs) | tail
-            overflowed = ~counted.all(axis=1)
-            if not overflowed.any():
-                raise  # the kernel's own refusal, such as a lam whose cross-entropy overflows
-            raise overflow_error(anchors[overflowed.argmax()]) from None
+        pair_diffs = sel_scores[:w] - scores[anchors, None]
+        values = ce_distance(pair_diffs, lam) if want_grad else distance_value(pair_diffs, config.distance)
         if tail is not None:
             values[tail] = 0.0
         loss[at] = _row_sums(values, anchors) / b

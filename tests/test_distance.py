@@ -190,10 +190,12 @@ class TestCeDistance:
 
 
 class TestCeOverflow:
-    """softplus(lam x) / lam that overflows is x only where softplus(lam x) rounds to lam x."""
+    """A cross-entropy past the largest double is refused, by the kernel and the oracle alike."""
 
-    LAMS = (5e-324, 1e-310, 3.8e-309, 3.9e-309, 1e-300)
+    DBL_MAX = float(np.finfo(np.float64).max)
+    LAMS = (5e-324, 1e-310, 3.8e-309, 3.9e-309, 1e-300, 0.3, 3.0, 300.0)
     XS = (-1.7e308, -1e300, -1.0, -0.1, -5e-324, 5e-324, 0.1, 1.0, 1e300, 1.7e308)
+    XS += (-DBL_MAX, -1.79e308, 1.79e308, DBL_MAX)
 
     @pytest.mark.parametrize("lam", LAMS)
     def test_kernel_and_oracle_are_cross_entropies_or_refuse(self, lam):
@@ -205,6 +207,22 @@ class TestCeOverflow:
                     assert str(exc).startswith(f"lam = {lam!r}: ")
                 else:
                     assert value >= 0.0, (ce, x, lam, value)
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_kernel_and_oracle_refuse_alike(self, lam):
+        # the oracle reaches max(x, 0) + log1p(exp(-lam |x|)) / lam by its own math-module route
+        for x in self.XS:
+            outcomes = []
+            for ce in (ce_distance, _bf_ce):
+                try:
+                    outcomes.append(ce(x, lam))
+                except ValidationError as exc:
+                    outcomes.append(str(exc))
+            kernel, oracle = outcomes
+            if isinstance(kernel, str) or isinstance(oracle, str):
+                assert kernel == oracle, (x, lam)
+            else:
+                assert ulp_distance(np.array(kernel), np.array(oracle)) <= 2, (x, lam, kernel, oracle)
 
     def test_tiny_lam_refuses_every_x(self):
         # log(2) / lam overflows once lam < log(2) / DBL_MAX, about 3.86e-309

@@ -2,14 +2,16 @@
 
 import importlib.util
 import math
+import re
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pairloss import (
@@ -556,6 +558,25 @@ class TestRowSums:
         assert certified.all()
         assert sums.tobytes() == np.array([math.fsum([1.0, 2.0**-60, 0.5]), 0.0]).tobytes()
 
+    def test_a_remainder_sum_that_rounds_across_a_midpoint_takes_the_fallback(self):
+        # width 15 gives m = 7 and the peak 1.5 + 2**-47 gives k = 8: the split grid is 2**-45, every other
+        # value lies below half of it and is all remainder, and the unit of the bound is U = 2**-98. numpy
+        # adds a row of 15 as a tree of the first 8 remainders, exact here, then the last 7 in order, each
+        # of which rounds down by 3.5 U, so the remainder sum comes out 24.5 U low: more than w U = 15 U.
+        # The first remainder puts first + low 16 U below the midpoint above hi, where the exact sum lies
+        # 8.5 U past it: a bound of w U would certify hi, and only one of w**2 U declines
+        unit = 2.0**-98
+        row = [1.5 + 2.0**-47, (2.0**52 - 2.0**45 + 88) * unit]
+        row += [(2.0**52 - 8) * unit] * 6 + [(2.0**52 - 4.5) * unit] * 7
+        rests = np.array([row])
+        rests[0, 0] = 2.0**-47  # the peak splits into the part 1.5 and this remainder
+        low = rests.sum(axis=1)[0]
+        assert (sum(map(Fraction, rests[0].tolist())) - Fraction(low)) / Fraction(unit) == Fraction(49, 2)
+        _, certified = _certified_sums(np.array([row]))
+        assert not certified[0]
+        assert math.fsum(row) == np.nextafter(1.5 + low, 2.0)
+        assert _strict_row_sums([row]).tobytes() == _fsum_rows([row]).tobytes()
+
 
     def test_rows_at_the_ends_of_the_range_take_the_fallback(self):
         # width 3 gives m = 5: a peak at or above 2**1018 would overflow the split constant 2**(e + m), and
@@ -567,6 +588,28 @@ class TestRowSums:
             sums, certified = _certified_sums(np.array(rows))
             assert (certified == proven).all()
             assert _strict_row_sums(rows).tobytes() == _fsum_rows(rows).tobytes()
+
+
+# finite scores whose differences overflow, or come near to it, among small ones
+_EXTREME_SCORES = st.one_of(st.sampled_from([1e308, -1e308, 1.7e308, -1.7e308, 1e307, -1e307]), st.floats(-2.0, 2.0))
+
+
+def _first_kept_overflow(scores, labels, config):
+    """The first live positive, in index order, with a kept pair whose difference overflows, by a float loop."""
+    threshold = config.pair_filter.threshold
+    negcount = config.pair_filter.mode is FilterMode.VALID_NEG_COUNT
+    negatives = [i for i, label in enumerate(labels) if label == 0]
+    selection = sorted(negatives, key=lambda i: (-scores[i], i))[: config.budget.q]
+    for u, label in enumerate(labels):
+        if label != 1:
+            continue
+        valid = sum(1 for v in negatives if scores[v] - scores[u] > threshold)
+        if negcount and valid == 0:
+            continue  # a zero negcount constant skips the anchor
+        kept = selection[:valid] if negcount and config.pair_filter.filter_numerator else selection
+        if any(math.isinf(scores[v] - scores[u]) for v in kept):
+            return u
+    return None
 
 
 class TestOverflow:
@@ -632,6 +675,41 @@ class TestOverflow:
         ss = make_set([1e308, -1e308], [1, 0])
         for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce):
             assert fn(ss, NEGCOUNT).total_loss == 0.0
+
+    @pytest.mark.parametrize("block_doubles", [loss.BLOCK_DOUBLES, 8])
+    @settings(max_examples=150, deadline=None)
+    # anchor 0 keeps only negative 2 and overflows past its prefix, at negative 3, which anchor 1 keeps:
+    # anchor 1 is named, as it overflows at its first slot
+    @example(
+        points=[(1e308, 1), (-1.7e308, 1), (1.7e308, 0), (-1e308, 0)],
+        mode=FilterMode.VALID_NEG_COUNT,
+        filter_numerator=True,
+        q=None,
+    )
+    @given(
+        points=st.lists(st.tuples(_EXTREME_SCORES, st.sampled_from([1, 0, 0, -1])), min_size=1, max_size=12),
+        mode=st.sampled_from([FilterMode.RANK_SUM, FilterMode.VALID_NEG_COUNT]),
+        filter_numerator=st.booleans(),
+        q=st.sampled_from([None, 1, 3]),
+    )
+    def test_the_gate_names_the_first_kept_overflow(self, block_doubles, points, mode, filter_numerator, q):
+        scores, labels = map(list, zip(*points))
+        config = LossConfig(pair_filter=FilterSpec(mode=mode, filter_numerator=filter_numerator), budget=PairBudget(q))
+        anchor = _first_kept_overflow(scores, labels, config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(loss, "BLOCK_DOUBLES", block_doubles)
+            for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce):
+                try:
+                    fn(make_set(scores, labels), config)
+                except ValidationError as exc:
+                    # a kernel's own "x must be finite" matches neither
+                    if anchor is not None:
+                        message = f"a score difference of anchor {anchor} overflows a double; score differences must be finite"
+                        assert str(exc) == message
+                    else:  # finite differences can still sum past the largest double
+                        assert re.fullmatch(r"pair sum of anchor \d+ overflows|total loss overflows", str(exc)), str(exc)
+                else:
+                    assert anchor is None
 
 
 class TestMemory:

@@ -8,8 +8,10 @@ OTHER_SRC is the directory that holds another tree's `pairloss` package,
 for example the `src` of a checkout of the parent commit. One fixed corpus
 is evaluated in two child processes, one on this repository's `src` and one
 on OTHER_SRC: generated, edge and overflow score sets, each under ranksum
-and negcount, Q in {unlimited, 1, 3, 200}, lambda in {0.5, 8, 1e-307}, and
-the forward loss and both gradient forms. The generated sets include the
+and negcount, Q in {unlimited, 1, 3, 200}, lambda in {0.5, 8, 1e-307, 3}, and
+the forward loss and both gradient forms. lambda = 3 is the one value that
+is not a power of two, where scaling by lambda rounds, so a change that
+rearranges the cross-entropy shows there. The generated sets include the
 500 / 9 500 shape of the benchmark's dense workload, whose blocks are
 6 x 9 500 when Q does not bind and 327 x 200 when Q = 200 does. The scores are drawn here with numpy,
 not by the trees under test. A result is equal when total_loss, the
@@ -92,7 +94,7 @@ def dump(src: str) -> None:
         score_set = pl.ScoreSet(scores, labels)
         for mode in (pl.FilterMode.RANK_SUM, pl.FilterMode.VALID_NEG_COUNT):
             for q in (None, 1, 3, 200):
-                for lam in (0.5, 8.0, 1e-307):
+                for lam in (0.5, 8.0, 1e-307, 3.0):
                     config = pl.LossConfig(
                         distance=pl.DistanceSpec(lam=lam), pair_filter=pl.FilterSpec(mode=mode), budget=pl.PairBudget(q)
                     )
