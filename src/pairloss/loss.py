@@ -35,20 +35,22 @@ width is the largest kept count among its rows, and it holds at most
 BLOCK_DOUBLES slots. A restricted row keeps a prefix of the selection, and
 every kernel output is zeroed past it. Per-anchor pair sums are exactly
 rounded, equal to math.fsum bit for bit and independent of pair order: one
-ExtractScalar split per row, on a power-of-two grid set by the row's peak,
-gives a sum of parts that is exact and a sum of remainders whose rounding a
-bound in the block width certifies; the rows it cannot certify (exact
-rounding midpoints, sums that overflow, rows near either end of the double
-range) go through math.fsum. Negative-side gradients are folded block by
-block into one carried array over the selection, row after row, so each
-negative's terms add up in anchor order and results are bitwise independent
-of the block size.
+ExtractScalar split per block, on a power-of-two grid set by the block's
+peak, gives each row a sum of parts that is exact and a sum of remainders
+whose rounding a bound in the block width certifies; the rows it cannot
+certify (sums within the bound of a rounding boundary, exact midpoints
+included, sums far below the block's peak, and every row of a block whose
+peak lies near either end of the double range, where every sum that
+overflows lies) go through math.fsum. Negative-side gradients are folded
+block by block into one carried array over the selection, row after row, so
+each negative's terms add up in anchor order and results are bitwise
+independent of the block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import frexp, fsum, ldexp
 
 import numpy as np
 
@@ -111,54 +113,61 @@ def row_blocks(n_rows: int, width: int) -> list[slice]:
 def _certified_sums(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum of each row of a 2-D block, and a mask of the rows whose sum is proven exactly rounded.
 
-    Every row holds values of one sign. Let u = 2^-53, w the width, e the
-    exponent of a row's peak (the peak lies in [2**(e - 1), 2**e)), k = e + m
-    with 2**m >= 4 (w + 2) as in ranking.compute_ranks, and sigma = 2**k
-    with the sign opposite to the row's. One ExtractScalar split (Rump, Ogita
-    & Oishi, SIAM J. Sci. Comput. 31(1), 2008) with sigma broadcast as a
-    column: sigma + x lies in [2**(k - 1), 2**k] in magnitude, where doubles
-    are spaced 2**(k - 53), and subtracting sigma is exact (Sterbenz), so
+    Every row holds values of one sign, and every caller's rows are >= 0. Let
+    u = 2^-53, w the width, e the exponent of the block's peak, the larger of
+    0 and its largest value (the peak lies in [2**(e - 1), 2**e), and e = 0
+    for a peak of 0), k = e + m with 2**m >= 4 (w + 2) as in
+    ranking.compute_ranks, and sigma = -2**k: one constant for the whole
+    block, as AccSum takes one sigma from the largest |x| of a vector (Rump,
+    Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008). One ExtractScalar split
+    of the block: for every x of a row >= 0, x <= the peak < 2**(k - m), so
+    x + sigma lies in [2**(k - 1), 2**k] in magnitude, where doubles are
+    spaced 2**(k - 53), and subtracting sigma is exact (Sterbenz), so
     part = (x + sigma) - sigma is x rounded to that grid and rest = x - part
-    is exact, with |rest| <= 2**(k - 54). The parts are multiples of
-    2**(k - 53) of magnitude at most 2**e, and a row holds fewer than
-    2**(m - 2) of them, so every partial sum of parts lies below 2**(k - 2)
-    and is a double: their sum along the row is exact in any order. The sum
-    of the rests is off by at most gamma_(w - 1) w 2**(k - 54) (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2002, eq. 4.4),
-    whatever order numpy adds in.
+    is exact, with |rest| <= 2**(k - 54). The parts are multiples of 2**(k - 53) of
+    magnitude at most 2**e, and a row holds fewer than 2**(m - 2) of them, so
+    every partial sum of parts lies below 2**(k - 2) and is a double: their
+    sum along the row is exact in any order. The sum of the rests is off by
+    at most gamma_(w - 1) w 2**(k - 54) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, eq. 4.4), whatever order numpy adds in.
 
     Certificate. With S the exact row sum, TwoSum joins the two: hi + t is
     exactly first + low, so |S - hi| <= |t| + gamma_(w - 1) w 2**(k - 54).
     The bound w^2 2**(k - 106) / (1 - w u) is at least twice the last term;
     the slack covers its own rounding and that of |t| + bound. When
-    2 (|t| + bound) < |hi| - nextafter(|hi|, 0), the smaller spacing next to
-    hi, S lies strictly inside hi's rounding interval; rounding is monotone,
-    so the comparison is safe in floating point. A row whose peak is 0 is
-    all zeros, and its sum is +0.0, as math.fsum returns it. Three kinds of
-    row are left uncertified, for math.fsum to decide:
-      - k > 1023, where sigma would overflow. A row with k <= 1023 sums to
-        less than w 2**e < 2**(k - 2) <= 2**1021, so every row whose sum
-        overflows is one;
-      - k < -916, where the bound's unit 2**(k - 106) leaves the normal
-        range and so would round with an absolute, not a relative, error
-        (every row whose peak lies below 2**-1000 is one);
-      - a sum within the bound of a rounding boundary, exact midpoints
-        included. As w < 2**(m - 2), twice the bound is below 2**(3m - 55)
-        of the spacing next to hi in the worst case, hi near the peak, where
-        that spacing is at least 2**(e - 54): at widths up to 16 382
-        (m <= 16) that leaves 7 bits of margin, while a 99 800-wide row
-        (m = 19) whose one value dominates keeps none and goes to math.fsum.
-    Such rows still run through the split, with sigma capped at 2**1023;
-    as its sign is opposite to the row's, x + sigma never overflows.
+    2 (|t| + bound) < hi - nextafter(hi, 0), the smaller spacing next to a
+    positive hi, S lies strictly inside hi's rounding interval; rounding is
+    monotone, so the comparison is safe in floating point. In any block,
+    each part of a row has the row's sign or is 0, and a rest of the other
+    sign is at most half its part, so hi has the row's sign, or is NaN where
+    the row overflows: hi == 0 holds only for a row of zeros, whose sum is
+    +0.0, as math.fsum returns it, and a row of negative values, whose hi
+    is negative, is never certified. The other rows left uncertified, for
+    math.fsum to decide, are:
+      - every row of a block with k > 1023, where sigma would overflow. A
+        row of a block with k <= 1023 sums to less than w 2**e < 2**(k - 2)
+        <= 2**1021, so every row whose sum overflows lies in such a block;
+      - every row of a block with k < -916, where the bound's unit
+        2**(k - 106) leaves the normal range and so would round with an
+        absolute, not a relative, error (every block whose peak lies below
+        2**-1000 is one);
+      - a row whose sum lies within the bound of a rounding boundary, exact
+        midpoints included. As w < 2**(m - 2), twice the bound is below
+        2**(3m - 55) of the spacing next to hi in the worst case, hi near
+        the peak, where that spacing is at least 2**(e - 54): at widths up
+        to 16 382 (m <= 16) that leaves 7 bits of margin, while a 99 800-wide
+        row (m = 19) whose one value dominates keeps none and goes to
+        math.fsum;
+      - a row whose sum lies far below the block's peak, under about
+        w^2 2**(k - 52), where twice the bound passes the spacing next to hi.
+    Such blocks still run through the split, with sigma capped at -2**1023;
+    x + sigma overflows only in a row of negative values.
     """
     width = block.shape[1]
     m = (4 * width + 7).bit_length()  # 2**m >= 4 (width + 2)
-    peak = block.max(axis=1, initial=0.0)
-    negative = peak == 0.0  # a row of one sign whose largest value is 0 holds no positive one
-    if negative.any():
-        peak[negative] = -block[negative].min(axis=1, initial=0.0)
-    k = np.frexp(peak)[1] + m
-    sigma = np.ldexp(np.where(negative, 1.0, -1.0), np.minimum(k, 1023))[:, None]
+    k = frexp(block.max(initial=0.0))[1] + m
+    sigma = -ldexp(1.0, min(k, 1023))
+    bound = ldexp(width * width * 2.0**-106 / (1.0 - width * 2.0**-53), k)
     with np.errstate(over="ignore", invalid="ignore"):  # only uncertified rows overflow
         part = np.add(block, sigma, out=np.empty_like(block))
         part -= sigma
@@ -167,11 +176,9 @@ def _certified_sums(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hi = first + low
         bp = hi - first
         t = (first - (hi - bp)) + (low - bp)
-        size = np.abs(hi)
-        bound = np.ldexp(width * width * 2.0**-106 / (1.0 - width * 2.0**-53), k)
-        certified = 2.0 * (np.abs(t) + bound) < size - np.nextafter(size, 0.0)
-    certified &= (k <= 1023) & (k >= -916)
-    certified |= peak == 0.0
+        certified = 2.0 * (np.abs(t) + bound) < hi - np.nextafter(hi, 0.0)
+    certified &= -916 <= k <= 1023
+    certified |= hi == 0.0
     return hi, certified
 
 
@@ -180,9 +187,11 @@ def _row_sums(block: np.ndarray, anchors: np.ndarray) -> np.ndarray:
 
     Every row holds values of one sign; a restricted row is +0.0 past its
     prefix, which changes neither fsum nor the split sums. _certified_sums
-    sums the whole block by one ExtractScalar split and certifies each
-    row's rounding; the rows it cannot certify go through math.fsum, and a
-    row whose sum overflows raises ValidationError naming its anchor.
+    sums the whole block by one ExtractScalar split against one constant,
+    set by the block's peak, and certifies each row's rounding; the rows it
+    cannot certify, a row of negative values among them, go through
+    math.fsum, and a row whose sum overflows raises ValidationError naming
+    its anchor.
     """
     sums, certified = _certified_sums(block)
     for i in np.flatnonzero(~certified):

@@ -126,7 +126,7 @@ def _levels(x: np.ndarray, top: float):
     """ExtractScalar twice (Rump, Ogita & Oishi 2008): three parts of x that sum to x exactly.
 
     compute_ranks sums the levels in prefix sums over the score order;
-    loss._certified_sums does one such split of its own per pair row. With
+    loss._certified_sums does one such split of its own per pair block. With
     top = 2**(106 - m) and |x| < 2**(106 - 2m), the first part holds
     multiples of 2**(53 - m), the second integers of magnitude at most
     2**(53 - m) + 1 and the third the rest, of magnitude at most 1. The parts

@@ -15,7 +15,6 @@ selection, valid counts and ranks read too.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,10 +160,10 @@ def simulate_training(
     """Run `steps` gradient-descent updates on a freshly generated score set.
 
     Records metrics before the first update and after each one. Aborts with
-    DivergenceError if the loss or the scores stop being finite, or if an
-    update leaves scores the loss rejects; a ValidationError from the
-    initial scores is a bad input and propagates as it is. A zero learning
-    rate is allowed and yields a flat trajectory.
+    DivergenceError if the scores stop being finite, or if an update leaves
+    scores the loss rejects; the loss of finite scores is finite or refused.
+    A ValidationError from the initial scores is a bad input and propagates
+    as it is. A zero learning rate is allowed and yields a flat trajectory.
     """
     descent = descent_arguments(steps, learning_rate)
     if instance("spec", spec, GeneratorSpec).n_pos < 1:
@@ -192,8 +191,6 @@ def descend_scores(
             if step == 0:
                 raise
             raise DivergenceError(f"loss evaluation failed at step {step}: {exc}", step) from exc
-        if not math.isfinite(result.total_loss):
-            raise DivergenceError(f"total loss became non-finite at step {step}", step, value=result.total_loss)
         records.append(
             TrajectoryRecord(
                 step=step,

@@ -33,11 +33,11 @@ class UndefinedMetricError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A simulated optimisation produced non-finite losses or scores.
+    """A simulated optimisation produced non-finite scores, or scores the loss rejects.
 
     step is the step at which it happened, index the element whose score
-    stopped being finite and value the offending total loss or score; each
-    is None where it does not apply.
+    stopped being finite and value that offending score; each is None where
+    it does not apply.
     """
 
     def __init__(self, message: str, step: int | None = None, index: int | None = None, value: float | None = None):

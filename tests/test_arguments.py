@@ -38,6 +38,7 @@ from pairloss import (
     valid_pair_indicator,
     write_score_file,
 )
+from pairloss.scorefile import round_floats
 
 SS = ScoreSet(np.array([0.9, 0.2, 0.55, 0.4]), np.array([1, 1, 0, 0]))
 CFG = LossConfig()
@@ -173,12 +174,27 @@ def _rows():
         # strings, complex, an int beyond a double, ragged nesting, objects
         for bad in (["0.9", "0.1"], np.array([0.9 + 1j, 0.1]), [10**400, 0.1], [[0.9, 0.1], [0.5]], [None, 0.1]):
             yield f"{entry} {name}", call, bad, f"{name} {ARRAY_MESSAGE}"
-    # ragged nesting of the labels or of an anchor array, and an anchor array of floats
+    # ragged nesting of the labels or of an anchor array, an anchor array of floats and a 2-D one
     labels = lambda v: ScoreSet([0.1, 0.2], v)  # noqa: E731
     yield "ScoreSet labels", labels, [[1], [0, 1]], "labels must be an array of numbers, got ragged nesting"
     for entry, call in (("compute_ranks", compute_ranks), ("valid_negative_count", valid_negative_count)):
-        for bad, got in (([[0], [0, 1]], "ragged nesting"), ([0.0], "dtype float64")):
-            yield f"{entry} u", lambda v, f=call: f(SS, v), bad, f"u must be an array of integers, got {got}"
+        for bad, message in (
+            ([[0], [0, 1]], "u must be an array of integers, got ragged nesting"),
+            ([0.0], "u must be an array of integers, got dtype float64"),
+            ([[0], [1]], "u must be an index or a 1-D integer index array"),
+        ):
+            yield f"{entry} u", lambda v, f=call: f(SS, v), bad, message
+    # scores that cannot make a score set with two labels, and a set empty of elements or of positives
+    scores = lambda v: ScoreSet(v, [1, 0])  # noqa: E731
+    for bad, message in (
+        ([[0.1, 0.2]], "scores and labels must be one-dimensional"),
+        ([0.1, 0.2, 0.3], "scores and labels must have equal length, got 3 and 2"),
+        ([0.1, NAN], "non-finite score at index 1"),
+    ):
+        yield "ScoreSet scores", scores, bad, message
+    yield "ScoreSet", lambda v: ScoreSet(v, v), [], "a score set must contain at least one element"
+    descend = lambda v: descend_scores(v, CFG, 1, 1.0)  # noqa: E731
+    yield "descend_scores score_set", descend, ScoreSet([0.1, 0.2], [0, 0]), "descent needs at least one positive anchor"
     yield "GeneratorSpec seed", lambda v: GeneratorSpec(seed=v), 2**64, "seed must fit in 64 unsigned bits"
     clamp = "clamp must be a finite [lo, hi] with lo < hi,"
     for bad in (5, (0,), (0, 1, 2), (1.0, 0.0)):
@@ -217,6 +233,7 @@ def test_bad_argument_is_a_validation_error_naming_it(call, bad, prefix):
             lambda: ce_distance(np.array([1, 2], dtype=np.int8), np.float16(8)),
             lambda: ce_distance(np.array([1.0, 2.0]), 8.0),
         ),
+        (lambda: round_floats(np.float32(0.1)), lambda: round_floats(float(np.float32(0.1)))),
     ],
 )
 def test_numpy_scalars_are_accepted_as_their_python_values(numpy_form, python_form):

@@ -317,6 +317,14 @@ class TestSweep:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "validation error: lambda must be > 0 for ce-sigmoid distance, got -1.0\n")
 
+    @pytest.mark.parametrize(
+        ("values", "message"),
+        [(",", "sweep needs at least one value"), ("a", "sweep values for lambda must be numbers, got 'a'")],
+    )
+    def test_unusable_values_exit_3(self, capsys, values, message):
+        assert main(["sweep", "--parameter", "lambda", "--values", values, *self.FAST]) == 3
+        assert capsys.readouterr() == ("", f"validation error: {message}\n")
+
     def test_unknown_parameter_rejected(self, capsys):
         assert main(["sweep", "--parameter", "gamma", "--values", "1", *self.FAST]) == 3
         assert "unknown sweep parameter" in capsys.readouterr().err
@@ -667,6 +675,7 @@ class TestConfigTypes:
             ({"seed": 1.5}, "seed must be an integer"),
             ({"clamp": [0, "1"]}, "clamp must be a number, got '1'"),
             ({"distance": "tanh"}, "distance must be one of"),
+            ([{"lambda": 4.0}], "top level must be an object"),
         ],
     )
     def test_wrong_type_exits_3_naming_the_key(self, capsys, tmp_path, equal_pair, payload, named):

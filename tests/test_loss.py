@@ -35,6 +35,7 @@ from pairloss import (
     gradient_autodiff_ce,
     gradient_error_driven,
     sigmoid_distance,
+    simulate_training,
 )
 from pairloss import loss, ranking
 from pairloss.loss import _certified_sums, _row_sums
@@ -579,15 +580,53 @@ class TestRowSums:
 
 
     def test_rows_at_the_ends_of_the_range_take_the_fallback(self):
-        # width 3 gives m = 5: a peak at or above 2**1018 would overflow the split constant 2**(e + m), and
-        # below 2**-922 the bound's unit leaves the normal range; the peaks just inside are certified
+        # width 3 gives m = 5: a block peak at or above 2**1018 would overflow the split constant 2**(e + m),
+        # and below 2**-922 the bound's unit leaves the normal range; a peak just inside, in a block of its
+        # own, is certified
         largest = [[1e308, 5e307, 1e300], [-(2.0**1018), -1.0, -0.0], [2.0**1018 * 1.5, 2.0**1018, 0.0]]
         tiny = [[2.0**-1001, 2.0**-1010, 5e-324], [-(2.0**-923), -1e-310, -2.5e-320], [2.0**-1040, 0.0, 0.0]]
-        inside = [[np.nextafter(2.0**1018, 0.0), 1.0, 0.0], [-(2.0**-922), -(2.0**-1000), 0.0]]
-        for rows, proven in ((largest, False), (tiny, False), (inside, True)):
+        inside = [[[np.nextafter(2.0**1018, 0.0), 1.0, 0.0]], [[2.0**-922, 2.0**-1000, 0.0]]]
+        for rows, proven in ((largest, False), (tiny, False), *((row, True) for row in inside)):
             sums, certified = _certified_sums(np.array(rows))
             assert (certified == proven).all()
             assert _strict_row_sums(rows).tobytes() == _fsum_rows(rows).tobytes()
+
+    @pytest.mark.parametrize(
+        ("rows", "proven", "overflows"),
+        [
+            # the block's peak sets one split constant: a row near 1 is certified, one near 2**-40 goes to fsum
+            (np.random.default_rng(1).uniform(0.5, 1.0, (2, 9500)) * [[1.0], [2.0**-40]], [True, False], None),
+            # a row of negative values is never certified, whatever the peak of the rows beside it
+            ([[0.25, 0.5, 0.125], [-0.5, -1e-3, -0.0], [1.0, 0.75, 0.0]], [True, False, True], None),
+            ([[1e-3, 2e-3, 0.0], [-1e300, -3e299, -1.0]], [True, False], None),
+            # width 3 gives m = 5, so a peak of 2**1019 gives k > 1023 and no row of its block is certified
+            ([[2.0**1019, 1.0, 0.5], [1.0, 0.5, 0.25]], [False, False], None),
+            ([[1.0, 0.5, 0.25], [1.7e308, 1.7e308, 2.0**1019], [1.7e308] * 3], [False, False, False], 1),
+        ],
+    )
+    def test_one_split_constant_per_block(self, rows, proven, overflows):
+        _, certified = _certified_sums(np.array(rows))
+        assert certified.tolist() == proven
+        rows = np.asarray(rows).tolist()
+        if overflows is None:
+            assert _strict_row_sums(rows).tobytes() == _fsum_rows(rows).tobytes()
+        else:
+            with pytest.raises(ValidationError, match=f"^pair sum of anchor {overflows} overflows$"):
+                _strict_row_sums(rows)
+
+    def test_every_row_of_the_default_descent_is_certified(self, monkeypatch):
+        # 101 evaluations of 50 x 500 blocks on changing scores: no row may leave the fast path for math.fsum
+        certify, seen = loss._certified_sums, []
+
+        def spy(block):
+            sums, certified = certify(block)
+            seen.append(certified.copy())
+            return sums, certified
+
+        monkeypatch.setattr(loss, "_certified_sums", spy)
+        simulate_training(GeneratorSpec(), LossConfig(), 100, 1.0)
+        assert sum(c.size for c in seen) == 2 * 50 * 101
+        assert all(c.all() for c in seen)
 
 
 # finite scores whose differences overflow, or come near to it, among small ones

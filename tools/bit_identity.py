@@ -18,8 +18,13 @@ not by the trees under test. A result is equal when total_loss, the
 per-anchor losses, the gradient bytes and the stats all match bit for bit,
 or when both trees raise the same error type with the same message.
 
-Prints how many results are equal and the first difference; exits 0 when
-every result is equal and 1 otherwise.
+Prints how many results are equal, then one line per group of differing
+results, with its count: a differing field of a result groups by lambda, Q,
+mode, form and field name, and a float field (total_loss, per_anchor_loss,
+gradient) also shows its largest distance in ulp; a result that is an error
+in either tree groups by the two outcomes, an error type or "result". Last
+comes the first difference. Exits 0 when every result is equal and 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ def dump(src: str) -> None:
                         distance=pl.DistanceSpec(lam=lam), pair_filter=pl.FilterSpec(mode=mode), budget=pl.PairBudget(q)
                     )
                     for form, evaluate in forms.items():
-                        case = f"{name}, {mode.value}, Q={q or 'unlimited'}, lambda={lam!r}, {form}"
+                        case = (name, mode.value, q or "unlimited", lam, form)
                         try:
                             record = ("result", *_record(evaluate(score_set, config)))
                         except Exception as error:  # an error counts as a result: its type and message
@@ -124,6 +129,41 @@ def _summary(record: tuple) -> str:
     return f"{record[1]}: {record[2]}" if record[0] == "error" else f"total_loss {float.fromhex(record[1])!r}"
 
 
+def _doubles(field: str, value) -> np.ndarray | None:
+    """The doubles of a total_loss, per_anchor_loss or gradient field; None for any other field."""
+    if field == "total_loss":
+        return np.array([float.fromhex(value)])
+    if field == "per_anchor_loss":
+        return np.array([float.fromhex(x) for _, x in value], dtype=np.float64)
+    return np.frombuffer(value) if field == "gradient" and value is not None else None
+
+
+def _ulps(field: str, a, b) -> int | None:
+    """Largest distance in ulp between the doubles of two values of a field; None where they hold none or differ in number."""
+    x, y = _doubles(field, a), _doubles(field, b)
+    if x is None or y is None or x.size != y.size:
+        return None
+    # the bits of a double, read as an integer ordered as the doubles are: the distance is the ulp count
+    ordered = [[i if i >= 0 else -(1 << 63) - i for i in v.view(np.int64).tolist()] for v in (x, y)]
+    return max((abs(i - j) for i, j in zip(*ordered)), default=0)
+
+
+def _groups(differ: list) -> dict[str, tuple[int, int | None]]:
+    """Per group line, the count of differing results and their largest ulp distance, None where no floats differ."""
+    groups: dict[str, tuple[int, int | None]] = {}
+    for (_, mode, q, lam, form), a, b in differ:
+        if "error" in (a[0], b[0]):
+            outcomes = [x[1] if x[0] == "error" else "result" for x in (a, b)]
+            keyed = [(f"error: this tree {outcomes[0]}, OTHER_SRC {outcomes[1]}", None)]
+        else:
+            where = f"lambda={lam!r}, Q={q}, {mode}, {form}"
+            keyed = [(f"{where}, {field}", _ulps(field, x, y)) for field, x, y in zip(_FIELDS, a, b) if x != y]
+        for line, ulps in keyed:
+            count, most = groups.get(line, (0, None))
+            groups[line] = (count + 1, most if ulps is None else max(most or 0, ulps))
+    return groups
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/bit_identity.py OTHER_SRC", file=sys.stderr)
@@ -132,8 +172,11 @@ def main(argv: list[str]) -> int:
     assert [case for case, _ in ours] == [case for case, _ in theirs]
     differ = [(case, a, b) for (case, a), (_, b) in zip(ours, theirs) if a != b]
     print(f"{len(ours) - len(differ)} of {len(ours)} results equal bit for bit")
+    for line, (count, ulps) in sorted(_groups(differ).items()):
+        print(f"  {line}: {count} differ" + ("" if ulps is None else f", at most {ulps} ulp apart"))
     if differ:
-        case, a, b = differ[0]
+        (name, mode, q, lam, form), a, b = differ[0]
+        case = f"{name}, {mode}, Q={q}, lambda={lam!r}, {form}"
         fields = _FIELDS if a[0] == "result" else ("kind", "error type", "message")
         names = ["kind"] if a[0] != b[0] else [field for field, x, y in zip(fields, a, b) if x != y]
         print(f"first difference: {case}: {', '.join(names)}")
