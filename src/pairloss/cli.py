@@ -2,12 +2,13 @@
 
 One SETTINGS row per setting: flag --<key>, config key <key>. Flags override
 a JSON config file (--config, or $PAIRLOSS_CONFIG); a setting neither names
-takes the library's default. Before it reads any input, every subcommand
-builds every target a setting fills (build), so each setting, from either
-source, meets the library's own rule with the library's message; the CLI
-owns only how a flag is spelled, and "unlimited" for q. Reports go to
-stdout (or --out) as JSON with floats rounded to 15 significant digits;
-curve output is two-column text.
+takes the library's default. main is the one path through a run: before any
+subcommand's handler runs, and so before any input is read, it builds every
+target a setting fills (build), so each setting, from either source, meets
+the library's own rule with the library's message; the CLI owns only how a
+flag is spelled, and "unlimited" for q. Each handler returns its report and
+exit code, and main writes every report, to stdout or --out: JSON with
+floats rounded to 15 significant digits, or two-column text for curve.
 
 Exit codes: 0 success, 1 check failed (gradcheck mismatch or diverged
 simulation), 2 parse error (bad file syntax, or a file that is not UTF-8),
@@ -182,13 +183,6 @@ def build(given: dict) -> tuple[LossConfig, GeneratorSpec, dict, dict]:
     )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        write_text(out, text, "--out ")
-    else:
-        sys.stdout.write(text)
-
-
 def _stats_rows(result: LossResult) -> list[dict]:
     return [
         {
@@ -204,8 +198,7 @@ def _stats_rows(result: LossResult) -> list[dict]:
     ]
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    config, *_ = build(given_settings(args))
+def cmd_eval(args, given, config, spec, descent, check) -> tuple[str, int]:
     score_set = read_score_file(args.scores)
     if config.distance.is_smooth:
         result = evaluate_with_gradient(score_set, config)
@@ -227,12 +220,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "per_anchor": _stats_rows(result),
         "gradient": result.gradient,
     }
-    _emit(render_report(report), args.out)
-    return EXIT_OK
+    return render_report(report), EXIT_OK
 
 
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    config, _, _, check = build(given_settings(args))
+def cmd_gradcheck(args, given, config, spec, descent, check) -> tuple[str, int]:
     score_set = read_score_file(args.scores)
     report = gradient_check(score_set, config, **check)
     document = {
@@ -243,13 +234,10 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
         "epsilon": report.epsilon,
         "tolerance": report.tolerance,
     }
-    _emit(render_report(document), args.out)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return render_report(document), EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    given = given_settings(args)
-    _, spec, descent, _ = build(given)
+def cmd_sweep(args, given, config, spec, descent, check) -> tuple[str, int]:
     parameter = {name.lower(): name for name in SWEEPS}.get(args.parameter.lower())
     if parameter is None:
         raise ValidationError(f"unknown sweep parameter {args.parameter!r}, expected one of {list(SWEEPS)}")
@@ -287,12 +275,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "lr": descent["learning_rate"],
         "rows": rows,
     }
-    _emit(render_report(document), args.out)
-    return EXIT_OK
+    return render_report(document), EXIT_OK
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
-    config, *_ = build(given_settings(args))
+def cmd_curve(args, given, config, spec, descent, check) -> tuple[str, int]:
     kind = CURVE_FUNCTIONS.get(args.function.lower())
     if kind is None:
         raise ValidationError(
@@ -309,12 +295,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
         raise ValidationError(f"samples = {samples} points are too many to allocate") from None
     ys = distance_value(xs, spec)
     lines = [f"{format_float(float(x))} {format_float(float(y))}" for x, y in zip(xs, ys)]
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config, spec, descent, _ = build(given_settings(args))
+def cmd_simulate(args, given, config, spec, descent, check) -> tuple[str, int]:
     trajectory = simulate_training(spec, config, **descent)
     document = {
         "command": "simulate",
@@ -327,8 +311,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "final_loss": trajectory.final_loss,
         "final_ap": trajectory.final_ap,
     }
-    _emit(render_report(document), args.out)
-    return EXIT_OK
+    return render_report(document), EXIT_OK
 
 
 def _add_command(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
@@ -371,10 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Builds every target (build) before the handler runs, calls it as
+    handler(args, given, config, spec, descent, check), and writes the report
+    text it returns to --out or stdout; an error becomes a message on stderr.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        given = given_settings(args)
+        text, code = args.handler(args, given, *build(given))
+        if args.out:
+            write_text(args.out, text, "--out ")
+        else:
+            sys.stdout.write(text)
+        return code
     except ScoreFileError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

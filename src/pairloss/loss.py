@@ -78,7 +78,7 @@ from .types import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossResult:
     """Outcome of one loss (and optionally gradient) evaluation.
 
@@ -86,7 +86,7 @@ class LossResult:
     None for forward-only evaluation and has the reduction applied
     otherwise. truncated reports whether the pair budget actually cut the
     negative set; no_anchors flags a set without positive anchors (legal,
-    loss 0).
+    loss 0). Results compare and hash by identity, as ScoreSet does.
     """
 
     total_loss: float

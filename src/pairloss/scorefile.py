@@ -96,8 +96,10 @@ def _read_columns(text: str) -> ScoreSet | None:
     """The ScoreSet of a well-formed score file, read a column at a time; None on any anomaly.
 
     Each field goes through the same int()/float() as in _read_lines, so the
-    two accept the same spellings. Anything this does not accept is left to
-    _read_lines, which finds the error and names its position.
+    two accept the same spellings. This checks the layout and the index
+    permutation, and ScoreSet judges the scores and labels. Anything either
+    does not accept is left to _read_lines, which finds the error and names
+    its position.
     """
     header, _, body = text.partition("\n")
     if header.strip() != SCORE_FILE_HEADER or not body:
@@ -120,14 +122,15 @@ def _read_columns(text: str) -> ScoreSet | None:
     valid = (
         (indices >= 0).all() and (indices < n).all()
         and np.bincount(indices, minlength=n).max() == 1
-        and np.isfinite(scores).all()
-        and np.isin(labels, list(VALID_LABELS)).all()
     )
     if not valid:
         return None
     by_index = np.empty(n, dtype=np.int64)
     by_index[indices] = np.arange(n)
-    return ScoreSet(scores=scores[by_index], labels=labels[by_index])
+    try:
+        return ScoreSet(scores=scores[by_index], labels=labels[by_index])
+    except ValidationError:  # a score or a label the set refuses, which _read_lines names by its row
+        return None
 
 
 def _read_lines(text: str) -> ScoreSet:
@@ -202,9 +205,8 @@ def write_score_file(path: str, score_set: ScoreSet) -> None:
     write_text(path, SCORE_FILE_HEADER + "\n" + body.replace(_PAST_LARGEST, _BELOW_LARGEST))
 
 
-# the 15-digit text past the largest double, and the nearest text toward zero, each with either sign
+# the 15-digit text past the largest double, and the nearest text toward zero; a replace keeps the sign
 _PAST_LARGEST, _BELOW_LARGEST = "1.79769313486232e+308", "1.79769313486231e+308"
-_TOWARD_ZERO = {sign + _PAST_LARGEST: sign + _BELOW_LARGEST for sign in ("", "-")}
 
 
 def format_float(x: float) -> str:
@@ -213,8 +215,7 @@ def format_float(x: float) -> str:
     A finite value whose nearest 15-digit text lies beyond the largest
     double rounds toward zero instead, so every finite value reads back finite.
     """
-    text = f"{x:.15g}"
-    return _TOWARD_ZERO.get(text, text)
+    return f"{x:.15g}".replace(_PAST_LARGEST, _BELOW_LARGEST)
 
 
 def round_floats(obj):

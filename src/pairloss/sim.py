@@ -84,11 +84,12 @@ class TrajectoryRecord:
     active_pairs: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Per-step records plus the final score state.
 
     Always holds steps + 1 records: the initial state and one per update.
+    Trajectories compare and hash by identity, as ScoreSet does.
     """
 
     records: tuple[TrajectoryRecord, ...]

@@ -168,14 +168,15 @@ def real_array(name: str, values) -> np.ndarray:
     return array(name, values, "biuf").astype(np.float64, copy=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreSet:
     """A batch of scores with {positive, negative, ignore} labels.
 
     Arrays are copied, cast to float64/int64, and frozen read-only. Scores
     must have a bool, integer or float dtype, checked before the cast, and
     be finite; labels must be numbers from `Label`, also checked before
-    the cast. Ragged nesting of either is refused.
+    the cast. Ragged nesting of either is refused. Sets compare and hash
+    by identity, as arrays have no single truth value to compare by.
     """
 
     scores: np.ndarray

@@ -11,6 +11,15 @@ def make_set(scores, labels) -> ScoreSet:
     return ScoreSet(scores=np.asarray(scores, dtype=np.float64), labels=np.asarray(labels, dtype=np.int64))
 
 
+def assert_compares_by_identity(x, y) -> None:
+    """x and y hold equal values: they compare unequal without raising, and each equals and hashes as itself."""
+    assert x is not y
+    assert x != y and not x == y
+    assert x == x
+    assert hash(x) == hash(x)
+    assert x in {x} and y not in {x}
+
+
 def random_score_set(rng: np.random.Generator, n: int, p_pos: float = 0.35, p_ignore: float = 0.1) -> ScoreSet:
     """A random labelled set; label mix is random, so degenerate mixes occur."""
     scores = rng.uniform(-1.0, 2.0, n)

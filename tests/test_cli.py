@@ -663,6 +663,30 @@ class TestWholeRuleBeforeInput:
             assert (captured.out, captured.err) == ("", f"validation error: {key} {rest}\n")
 
 
+# a run of each subcommand on real inputs, with its exit code; {scores} is a score file
+WRITTEN_RUNS = {
+    "eval": (["eval", "{scores}", "--q", "1"], 0),
+    "gradcheck": (["gradcheck", "{scores}"], 0),
+    "gradcheck-failing": (["gradcheck", "{scores}", "--tolerance", "1e-30"], 1),
+    "sweep": (["sweep", "{scores}", "--parameter", "Q", "--values", "1,unlimited", "--steps", "2"], 0),
+    "curve": (["curve", "--function", "S", "--samples", "5"], 0),
+    "simulate": (["simulate", "--n-pos", "3", "--n-neg", "9", "--steps", "2"], 0),
+}
+
+
+class TestOneWriter:
+    @pytest.mark.parametrize(("argv", "code"), list(WRITTEN_RUNS.values()), ids=list(WRITTEN_RUNS))
+    def test_out_holds_the_bytes_the_run_prints(self, capsys, mixed_file, tmp_path, argv, code):
+        argv = [arg.format(scores=mixed_file) for arg in argv]
+        assert main(argv) == code
+        printed = capsys.readouterr()
+        assert printed.out and printed.err == ""
+        target = tmp_path / "report.out"
+        assert main([*argv, "--out", str(target)]) == code
+        assert tuple(capsys.readouterr()) == ("", "")
+        assert target.read_bytes() == printed.out.encode("utf-8")
+
+
 class TestConfigTypes:
     @pytest.mark.parametrize(
         ("payload", "named"),

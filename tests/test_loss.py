@@ -40,7 +40,7 @@ from pairloss import (
 from pairloss import loss, ranking
 from pairloss.loss import _certified_sums, _row_sums
 
-from conftest import make_set, random_score_set
+from conftest import assert_compares_by_identity, make_set, random_score_set
 
 # 40-digit evaluations, rounded to float64
 EQUAL_PAIR_CE_LOSS = 0.05776226504666211  # (ln2/8) / 1.5
@@ -170,6 +170,10 @@ class TestGradientFormEquivalence:
 
 
 class TestStructuralInvariants:
+    def test_results_compare_and_hash_by_identity(self):
+        ss = make_set([0.3, 0.1, 0.2], [1, 0, 0])
+        assert_compares_by_identity(evaluate_with_gradient(ss, CE8), evaluate_with_gradient(ss, CE8))
+
     def test_sign_discipline(self):
         rng = np.random.default_rng(25)
         for config in (CE8, NEGCOUNT):

@@ -26,10 +26,15 @@ from pairloss import (
 from pairloss import ranking
 from pairloss.distance import _ramp
 
-from conftest import make_set, random_score_set
+from conftest import assert_compares_by_identity, make_set, random_score_set
 
 
 class TestScoreSet:
+    @pytest.mark.parametrize("scores", [[0.3, 0.1, 0.2], [0.5]], ids=["three", "one"])
+    def test_sets_compare_and_hash_by_identity(self, scores):
+        labels = [1] + [0] * (len(scores) - 1)
+        assert_compares_by_identity(make_set(scores, labels), make_set(scores, labels))
+
     def test_order_is_descending_score_then_ascending_index(self):
         ss = make_set([0.5, 0.9, 0.5, -0.0, 0.0, 0.9], [1, 0, -1, 0, 1, 1])
         assert ss.order.tolist() == [1, 5, 0, 2, 3, 4]

@@ -20,7 +20,7 @@ from pairloss import (
 )
 from pairloss import sim
 
-from conftest import make_set
+from conftest import assert_compares_by_identity, make_set
 
 CE8 = LossConfig()
 
@@ -154,6 +154,10 @@ class TestRankingAp:
 
 
 class TestSimulateTraining:
+    def test_trajectories_compare_and_hash_by_identity(self):
+        spec = GeneratorSpec(seed=2, n_pos=3, n_neg=9)
+        assert_compares_by_identity(simulate_training(spec, CE8, 2, 0.5), simulate_training(spec, CE8, 2, 0.5))
+
     def test_record_count(self):
         traj = simulate_training(GeneratorSpec(seed=2, n_pos=3, n_neg=9), CE8, 7, 0.5)
         assert len(traj.records) == 8

@@ -18,29 +18,45 @@ not by the trees under test. A result is equal when total_loss, the
 per-anchor losses, the gradient bytes and the stats all match bit for bit,
 or when both trees raise the same error type with the same message.
 
+After the corpus, each child runs a fixed matrix of command lines through
+`pairloss.cli.main(argv)` with stdout and stderr captured: every subcommand,
+eval under ranksum, negcount, step and Q = 3 and with --out, gradcheck
+passing and failing, sweeps of lambda, T and Q, curve H, S and CE, simulate,
+and each exit code: a failed check and a diverging sweep (1), a malformed
+CSV (2), and a missing file, an unwritable --out, lambda = 0 and an
+unparseable Q sweep (3). The inputs are written here with numpy and plain
+text into one temporary directory, whose path reads {dir} in the captured
+text. A run is byte-identical when its stdout, stderr, exit code and --out
+bytes all match.
+
 Prints how many results are equal, then one line per group of differing
 results, with its count: a differing field of a result groups by lambda, Q,
 mode, form and field name, and a float field (total_loss, per_anchor_loss,
 gradient) also shows its largest distance in ulp; a result that is an error
-in either tree groups by the two outcomes, an error type or "result". Last
-comes the first difference. Exits 0 when every result is equal and 1
-otherwise.
+in either tree groups by the two outcomes, an error type or "result". Then
+comes the first difference. Last, it prints how many CLI runs are
+byte-identical, then one line per subcommand and field that differ, with
+the runs that differ there. Exits 0 when every result is equal and every
+run byte-identical, and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import os
 import pickle
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
-# a child puts its tree and this directory first on sys.path, then dumps the corpus results to stdout
-CHILD = "import sys; sys.path[:0] = sys.argv[1:]; import bit_identity; bit_identity.dump(sys.argv[1])"
+# a child puts its tree and this directory first on sys.path, then dumps the corpus and CLI results to stdout
+CHILD = "import sys; sys.path[:0] = sys.argv[1:3]; import bit_identity; bit_identity.dump(sys.argv[1], sys.argv[3])"
 
 
 def score_sets() -> list[tuple[str, np.ndarray, np.ndarray]]:
@@ -75,6 +91,74 @@ def score_sets() -> list[tuple[str, np.ndarray, np.ndarray]]:
     ]
 
 
+# the CLI matrix: run name -> argv, with {dir} the input directory; a run that names --out also reports its bytes
+CLI_RUNS = {
+    "eval ranksum": ["eval", "{dir}/scores.csv"],
+    "eval negcount": ["eval", "{dir}/scores.csv", "--mode", "negcount"],
+    "eval step": ["eval", "{dir}/scores.csv", "--distance", "step"],
+    "eval Q=3": ["eval", "{dir}/scores.csv", "--q", "3"],
+    "eval --out": ["eval", "{dir}/scores.csv", "--mode", "negcount", "--lambda", "3", "--out", "{dir}/report.json"],
+    "eval malformed CSV": ["eval", "{dir}/malformed.csv"],
+    "eval missing file": ["eval", "{dir}/missing.csv"],
+    "eval unwritable --out": ["eval", "{dir}/scores.csv", "--out", "{dir}/missing/report.json"],
+    "eval lambda=0": ["eval", "{dir}/scores.csv", "--lambda", "0"],
+    "gradcheck passing": ["gradcheck", "{dir}/small.csv"],
+    "gradcheck failing": ["gradcheck", "{dir}/small.csv", "--tolerance", "1e-30"],
+    "sweep lambda": ["sweep", "{dir}/scores.csv", "--parameter", "lambda", "--values", "2,3,8", "--steps", "5"],
+    "sweep T": ["sweep", "--parameter", "T", "--values", "0.1,0.3", "--n-pos", "20", "--n-neg", "80", "--steps", "5"],
+    "sweep Q": ["sweep", "{dir}/scores.csv", "--parameter", "Q", "--values", "1,10,unlimited", "--steps", "5"],
+    "sweep unparseable Q": ["sweep", "--parameter", "Q", "--values", "10,lots", "--n-pos", "3", "--n-neg", "5", "--steps", "1"],
+    "sweep diverging": [
+        "sweep", "{dir}/diverging.csv", "--parameter", "lambda", "--values", "8",
+        "--lr", "1e308", "--steps", "3", "--reduction", "sum",
+    ],
+    "curve H": ["curve", "--function", "H", "--samples", "11"],
+    "curve S": ["curve", "--function", "S", "--lambda", "3", "--samples", "11"],
+    "curve CE": ["curve", "--function", "CE", "--x-min", "-3", "--x-max", "3", "--samples", "13"],
+    "simulate": ["simulate", "--n-pos", "10", "--n-neg", "40", "--steps", "10", "--seed", "7"],
+    "simulate autodiff-ce": ["simulate", "--n-pos", "10", "--n-neg", "40", "--steps", "10", "--grad-form", "autodiff-ce"],
+}
+
+_CLI_FIELDS = ("stdout", "stderr", "exit code", "--out bytes")
+
+
+def write_cli_inputs(directory: Path) -> None:
+    """The score files the CLI matrix reads, written as plain text from fixed seeds."""
+    rng = np.random.Generator(np.random.PCG64(20241))
+
+    def score_file(name, scores, labels):
+        rows = "".join(f"{i},{float(s)!r},{int(label)}\n" for i, (s, label) in enumerate(zip(scores, labels)))
+        (directory / name).write_text("index,score,label\n" + rows, encoding="utf-8")
+
+    labels = rng.permutation([1] * 40 + [0] * 150 + [-1] * 10)
+    score_file("scores.csv", rng.normal(0.5, 0.25, 200) + 0.2 * (labels == 1), labels)
+    score_file("small.csv", rng.uniform(0.0, 1.0, 8), [1, 1, 1, 0, 0, 0, 0, 0])
+    score_file("diverging.csv", [1e308] * 20 + [1.01e308], [1] * 20 + [0])
+    (directory / "malformed.csv").write_text("index,score,label\n0,0.5,1\n1,half,0\n", encoding="utf-8")
+
+
+def _run_cli(inputs: str) -> list:
+    """(run name, (stdout, stderr, exit code, --out bytes)) of each CLI_RUNS entry, with {dir} for the input directory."""
+    from pairloss.cli import main
+
+    results = []
+    for name, argv in CLI_RUNS.items():
+        argv = [arg.replace("{dir}", inputs) for arg in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as stop:  # argparse refusing a flag the tree does not know
+                code = stop.code
+        written = None
+        if "--out" in argv and (path := Path(argv[argv.index("--out") + 1])).is_file():
+            written = path.read_bytes()
+            path.unlink()
+        texts = (out.getvalue().replace(inputs, "{dir}"), err.getvalue().replace(inputs, "{dir}"))
+        results.append((name, (*texts, code, written)))
+    return results
+
+
 def _record(result) -> tuple:
     """Every bit of a LossResult, as comparable plain values."""
     return (
@@ -87,8 +171,8 @@ def _record(result) -> tuple:
     )
 
 
-def dump(src: str) -> None:
-    """Evaluate the corpus with the pairloss found on sys.path and pickle the results to stdout."""
+def dump(src: str, inputs: str) -> None:
+    """Evaluate the corpus and run the CLI matrix on `inputs` with the pairloss on sys.path; pickle both to stdout."""
     import pairloss as pl
 
     if not Path(pl.__file__).resolve().is_relative_to(Path(src).resolve()):
@@ -110,13 +194,14 @@ def dump(src: str) -> None:
                         except Exception as error:  # an error counts as a result: its type and message
                             record = ("error", type(error).__name__, str(error))
                         results.append((case, record))
-    pickle.dump(results, sys.stdout.buffer)
+    pickle.dump((results, _run_cli(inputs)), sys.stdout.buffer)
 
 
-def _run(src: Path) -> list:
+def _run(src: Path, inputs: str) -> tuple[list, list]:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    out = subprocess.run([sys.executable, "-c", CHILD, str(src), str(HERE)], env=env, capture_output=True, check=False)
+    argv = [sys.executable, "-c", CHILD, str(src), str(HERE), inputs]
+    out = subprocess.run(argv, env=env, capture_output=True, check=False)
     if out.returncode:
         raise SystemExit(f"evaluating the corpus on {src} failed:\n{out.stderr.decode(errors='replace')}")
     return pickle.loads(out.stdout)
@@ -168,7 +253,9 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python3 tools/bit_identity.py OTHER_SRC", file=sys.stderr)
         return 2
-    ours, theirs = _run(HERE.parent / "src"), _run(Path(argv[0]))
+    with tempfile.TemporaryDirectory() as inputs:
+        write_cli_inputs(Path(inputs))
+        (ours, our_runs), (theirs, their_runs) = _run(HERE.parent / "src", inputs), _run(Path(argv[0]), inputs)
     assert [case for case, _ in ours] == [case for case, _ in theirs]
     differ = [(case, a, b) for (case, a), (_, b) in zip(ours, theirs) if a != b]
     print(f"{len(ours) - len(differ)} of {len(ours)} results equal bit for bit")
@@ -182,7 +269,16 @@ def main(argv: list[str]) -> int:
         print(f"first difference: {case}: {', '.join(names)}")
         print(f"  this tree: {_summary(a)}")
         print(f"  OTHER_SRC: {_summary(b)}")
-    return 1 if differ else 0
+    runs_differ: dict[str, list[str]] = {}
+    for (name, a), (_, b) in zip(our_runs, their_runs):
+        for field, x, y in zip(_CLI_FIELDS, a, b):
+            if x != y:
+                runs_differ.setdefault(f"{CLI_RUNS[name][0]}, {field}", []).append(name)
+    identical = sum(a == b for (_, a), (_, b) in zip(our_runs, their_runs))
+    print(f"{identical} of {len(our_runs)} CLI runs byte-identical")
+    for line, names in sorted(runs_differ.items()):
+        print(f"  {line}: {len(names)} differ ({', '.join(names)})")
+    return 1 if differ or runs_differ else 0
 
 
 if __name__ == "__main__":
