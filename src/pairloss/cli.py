@@ -164,11 +164,10 @@ def keywords(given: dict, target) -> dict:
 
 
 def loss_config(given: dict) -> LossConfig:
-    """Build only the parts the settings name; the rest keep LossConfig's defaults."""
+    """Build every part from the settings that fill it; a part no setting names equals LossConfig's default."""
     parts = {
-        name: part(**kw)
+        name: part(**keywords(given, part))
         for name, part in (("distance", DistanceSpec), ("pair_filter", FilterSpec), ("budget", PairBudget))
-        if (kw := keywords(given, part))
     }
     return LossConfig(**parts, **keywords(given, LossConfig))
 

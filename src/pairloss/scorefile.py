@@ -11,12 +11,13 @@ column; domain problems (non-finite score, unknown label, duplicate or
 missing index, a file that cannot be read or written) raise ValidationError
 naming the row or file. The two map to different CLI exit codes.
 
-A score file is read a column at a time: the body is split on commas and
-newlines once, and each column goes through int() or float() in one pass,
-so the accepted spellings are those of the builtins. Any anomaly (a field
-count, a spelling, an index, a score or a label) sends the whole text to
-the line parser, which is the reference reader and the only one that raises,
-so every error keeps its message, position and order.
+A score file is read a column at a time: the text is split on commas once,
+with each line end a token of its own, and each column goes through int()
+or float() in one pass, so the accepted spellings are those of the
+builtins. Any anomaly (a field count, a spelling, an index, a score or a
+label) sends the whole text to the line parser, which is the reference
+reader and the only one that raises, so every error keeps its message,
+position and order.
 
 Reports are JSON with stable key names. Floats are rounded to 15
 significant digits before serialisation, so the printed text re-parses to
@@ -95,28 +96,26 @@ def read_score_file(path: str) -> ScoreSet:
 def _read_columns(text: str) -> ScoreSet | None:
     """The ScoreSet of a well-formed score file, read a column at a time; None on any anomaly.
 
-    Each field goes through the same int()/float() as in _read_lines, so the
-    two accept the same spellings. This checks the layout and the index
-    permutation, and ScoreSet judges the scores and labels. Anything either
-    does not accept is left to _read_lines, which finds the error and names
-    its position.
+    With each line end made a token of its own, a file whose lines all hold
+    three fields, header included, is four tokens per line, every fourth one
+    a line end. Each field goes through the same int()/float() as in
+    _read_lines, so the two accept the same spellings. This checks the
+    layout and the index permutation, and ScoreSet judges the scores and
+    labels. Anything either does not accept is left to _read_lines, which
+    finds the error and names its position.
     """
-    header, _, body = text.partition("\n")
-    if header.strip() != SCORE_FILE_HEADER or not body:
+    if not text.endswith("\n"):
+        text += "\n"
+    tokens = text.replace("\n", ",\n,").split(",")
+    n = text.count("\n") - 1
+    # the n + 1 line ends are every fourth token, and no other, exactly when each line holds three fields;
+    # one empty token follows the last, which the count of the index column leaves out
+    if ",".join(tokens[:3]).strip() != SCORE_FILE_HEADER or not n or tokens[3::4] != ["\n"] * (n + 1):
         return None
-    if not body.endswith("\n"):
-        body += "\n"
-    # every line holds exactly three fields when the separators read ",,\n" once per line;
-    # no byte of a multi-byte UTF-8 character is a comma or a newline
-    raw = np.frombuffer(body.encode("utf-8"), dtype=np.uint8)
-    n = body.count("\n")
-    if raw[(raw == ord(",")) | (raw == ord("\n"))].tobytes() != b",,\n" * n:
-        return None
-    fields = body.replace("\n", ",").split(",")[:-1]
     try:
-        indices = np.fromiter(map(int, fields[0::3]), dtype=np.int64, count=n)
-        scores = np.fromiter(map(float, fields[1::3]), dtype=np.float64, count=n)
-        labels = np.fromiter(map(int, fields[2::3]), dtype=np.int64, count=n)
+        indices = np.fromiter(map(int, tokens[4::4]), dtype=np.int64, count=n)
+        scores = np.fromiter(map(float, tokens[5::4]), dtype=np.float64, count=n)
+        labels = np.fromiter(map(int, tokens[6::4]), dtype=np.int64, count=n)
     except (ValueError, OverflowError):
         return None
     valid = (

@@ -138,13 +138,11 @@ def ranking_ap(score_set: ScoreSet) -> float:
     AP is 1 exactly when every positive outscores every negative.
     """
     labels = instance("score_set", score_set, ScoreSet).labels[score_set.order]
-    hits = (labels[labels != IGNORE] == POSITIVE).astype(np.float64)
-    if not hits.any():
+    ranks = np.flatnonzero(labels[labels != IGNORE] == POSITIVE) + 1
+    if not ranks.size:
         raise UndefinedMetricError("ranking AP needs at least one positive")
-    cum_hits = np.cumsum(hits)
-    ranks = np.flatnonzero(hits) + 1
-    precisions = cum_hits[ranks - 1] / ranks
-    return float(np.mean(precisions))
+    # the i-th positive in the order has i positives at or above its rank
+    return float(np.mean(np.arange(1, ranks.size + 1) / ranks))
 
 
 def descent_arguments(steps: int = 200, learning_rate: float = 1.0) -> dict:

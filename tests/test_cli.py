@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -526,6 +527,35 @@ class TestArgparseSurface:
             main(["eval", equal_pair, "--q", text])
         assert exc.value.code == 2
         capsys.readouterr()
+
+
+class TestEntrypoint:
+    """The console script and `python -m pairloss.cli`, run in process so that their lines are traced."""
+
+    def test_console_script_exits_with_the_code_of_main(self, monkeypatch, capsys, equal_pair):
+        monkeypatch.setattr(sys, "argv", ["pairloss", "eval", equal_pair])
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out)["total_loss"] == pytest.approx(EQUAL_PAIR_LOSS, rel=1e-12)
+
+    def test_console_script_exits_3_on_a_validation_error(self, monkeypatch, capsys, equal_pair):
+        monkeypatch.setattr(sys, "argv", ["pairloss", "eval", equal_pair, "--lambda", "0"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "validation error: lambda must be > 0 for ce-sigmoid distance, got 0.0\n"
+
+    def test_module_run_as_main(self, monkeypatch, capsys, equal_pair):
+        expected = run_json(capsys, ["eval", equal_pair])
+        monkeypatch.setattr(sys, "argv", ["pairloss", "eval", equal_pair])
+        # runpy warns that it runs pairloss.cli again, which the package import has already loaded
+        with pytest.warns(RuntimeWarning, match="found in sys.modules"), pytest.raises(SystemExit) as exc:
+            runpy.run_module("pairloss.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert json.loads(capsys.readouterr().out) == expected
 
 
 # (config key, config-file value, flag arguments): every row of the settings table, each

@@ -120,6 +120,10 @@ CORPUS = {
     "header without newline": b"index,score,label",
     "wrong field count": (HEADER + "0,0.5\n").encode(),
     "2 fields then 4 fields": (HEADER + "0,1\n0,1,0,1\n").encode(),
+    "4 fields then 2 fields": (HEADER + "0,1,0,1\n0,1\n").encode(),
+    "header with 4 fields": b"index,score,label,extra\n0,0.5,1\n",
+    "header with 2 fields then a 4-field row": b"index,score\nlabel,0,0.5,1\n",
+    "empty index field": (HEADER + ",0.5,1\n").encode(),
     "trailing comma": (HEADER + "0,0.5,1,\n").encode(),
     "separators only": (HEADER + ",,\n").encode(),
     "bad index": (HEADER + "x,0.5,1\n").encode(),

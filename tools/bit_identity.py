@@ -22,8 +22,11 @@ After the corpus, each child runs a fixed matrix of command lines through
 `pairloss.cli.main(argv)` with stdout and stderr captured: every subcommand,
 eval under ranksum, negcount, step and Q = 3 and with --out, gradcheck
 passing and failing, sweeps of lambda, T and Q, curve H, S and CE, simulate,
-and each exit code: a failed check and a diverging sweep (1), a malformed
-CSV (2), and a missing file, an unwritable --out, lambda = 0 and an
+eval on score files in spellings that the column read of a score file
+accepts (CRLF line ends, no final newline, a spaced header, shuffled
+indices, Arabic-Indic digits), and each exit code: a failed check and a
+diverging sweep (1), a malformed CSV, a UTF-8 BOM and a blank middle line
+(2), and a missing file, an unwritable --out, lambda = 0 and an
 unparseable Q sweep (3). The inputs are written here with numpy and plain
 text into one temporary directory, whose path reads {dir} in the captured
 text. A run is byte-identical when its stdout, stderr, exit code and --out
@@ -102,6 +105,13 @@ CLI_RUNS = {
     "eval missing file": ["eval", "{dir}/missing.csv"],
     "eval unwritable --out": ["eval", "{dir}/scores.csv", "--out", "{dir}/missing/report.json"],
     "eval lambda=0": ["eval", "{dir}/scores.csv", "--lambda", "0"],
+    "eval CRLF line ends": ["eval", "{dir}/crlf.csv"],
+    "eval no final newline": ["eval", "{dir}/no_final_newline.csv"],
+    "eval spaced header": ["eval", "{dir}/spaced_header.csv"],
+    "eval shuffled indices": ["eval", "{dir}/shuffled.csv"],
+    "eval Arabic-Indic digits": ["eval", "{dir}/arabic_indic.csv"],
+    "eval UTF-8 BOM": ["eval", "{dir}/bom.csv"],
+    "eval blank middle line": ["eval", "{dir}/blank_line.csv"],
     "gradcheck passing": ["gradcheck", "{dir}/small.csv"],
     "gradcheck failing": ["gradcheck", "{dir}/small.csv", "--tolerance", "1e-30"],
     "sweep lambda": ["sweep", "{dir}/scores.csv", "--parameter", "lambda", "--values", "2,3,8", "--steps", "5"],
@@ -135,6 +145,21 @@ def write_cli_inputs(directory: Path) -> None:
     score_file("small.csv", rng.uniform(0.0, 1.0, 8), [1, 1, 1, 0, 0, 0, 0, 0])
     score_file("diverging.csv", [1e308] * 20 + [1.01e308], [1] * 20 + [0])
     (directory / "malformed.csv").write_text("index,score,label\n0,0.5,1\n1,half,0\n", encoding="utf-8")
+    # one set of rows in spellings the column read accepts, and in two that it leaves to the line parser to refuse
+    header = "index,score,label"
+    rows = [f"{i},{s!r},{i % 3 == 0:d}" for i, s in enumerate(rng.uniform(0.0, 1.0, 12).tolist())]
+    arabic_indic = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+    variants = {
+        "crlf.csv": "\r\n".join([header, *rows, ""]),
+        "no_final_newline.csv": "\n".join([header, *rows]),
+        "spaced_header.csv": "\n".join([f"  {header} ", *rows, ""]),
+        "shuffled.csv": "\n".join([header, *(rows[i] for i in rng.permutation(12)), ""]),
+        "arabic_indic.csv": "\n".join([header, *rows, ""]).translate(arabic_indic),
+        "bom.csv": "\n".join(["\ufeff" + header, *rows, ""]),
+        "blank_line.csv": "\n".join([header, *rows[:5], "", *rows[5:], ""]),
+    }
+    for name, text in variants.items():
+        (directory / name).write_bytes(text.encode("utf-8"))
 
 
 def _run_cli(inputs: str) -> list:
