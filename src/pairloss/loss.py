@@ -45,11 +45,17 @@ overflows lies) go through math.fsum. Negative-side gradients are folded
 block by block into one carried array over the selection, row after row, so
 each negative's terms add up in anchor order and results are bitwise
 independent of the block size.
+
+A LossResult holds the per-anchor columns that the evaluation computes as
+read-only arrays; its per_anchor_loss dict and its RankStats list are built
+from them on first read and cached, so an evaluation, and each step of a
+descent, builds no per-anchor Python object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import frexp, fsum, ldexp
 
 import numpy as np
@@ -82,23 +88,52 @@ from .types import (
 class LossResult:
     """Outcome of one loss (and optionally gradient) evaluation.
 
-    per_anchor_loss maps anchor index to its unreduced l(u); gradient is
-    None for forward-only evaluation and has the reduction applied
-    otherwise. truncated reports whether the pair budget actually cut the
-    negative set; no_anchors flags a set without positive anchors (legal,
-    loss 0). Results compare and hash by identity, as ScoreSet does.
+    gradient is None for forward-only evaluation and has the reduction
+    applied otherwise. truncated reports whether the pair budget actually cut
+    the negative set. The per-anchor columns are read-only arrays, one entry
+    per positive anchor in index order: anchors, their unreduced losses l(u),
+    rank+ and rank-, balance constants (0 for a skipped negcount anchor),
+    valid-negative counts and kept pair counts. per_anchor_loss, which maps
+    anchor index to l(u), and stats, one RankStats per anchor, are views of
+    those columns, built on first read and cached. no_anchors flags a set
+    without positive anchors (legal, loss 0). Results compare and hash by
+    identity, as ScoreSet does.
     """
 
     total_loss: float
-    per_anchor_loss: dict[int, float]
     gradient: np.ndarray | None
-    stats: list[RankStats]
     truncated: bool
-    no_anchors: bool = False
+    anchors: np.ndarray
+    losses: np.ndarray
+    rank_plus: np.ndarray
+    rank_minus: np.ndarray
+    balance_constants: np.ndarray
+    n_neg: np.ndarray
+    kept: np.ndarray
+
+    def __post_init__(self) -> None:
+        columns = self.anchors, self.losses, self.rank_plus, self.rank_minus, self.balance_constants, self.n_neg, self.kept
+        for column in columns:
+            column.flags.writeable = False
+
+    @property
+    def no_anchors(self) -> bool:
+        return self.anchors.size == 0
 
     @property
     def active_pairs(self) -> int:
-        return sum(s.active_pairs for s in self.stats)
+        return int(self.kept.sum())
+
+    @cached_property
+    def per_anchor_loss(self) -> dict[int, float]:
+        return dict(zip(self.anchors.tolist(), self.losses.tolist()))
+
+    @cached_property
+    def stats(self) -> list[RankStats]:
+        bc_or_none = [b if b > 0 else None for b in self.balance_constants.tolist()]
+        ranks = self.rank_plus.tolist(), self.rank_minus.tolist()
+        rows = zip(self.anchors.tolist(), *ranks, bc_or_none, self.n_neg.tolist(), self.kept.tolist())
+        return [RankStats(*row) for row in rows]
 
 
 BLOCK_DOUBLES = 1 << 16  # most doubles one block of anchor rows holds, so memory stays bounded
@@ -238,7 +273,8 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: GradientForm | None
 
     if pos.size == 0:
         grad = np.zeros(n) if want_grad else None
-        return LossResult(0.0, {}, grad, [], truncated, no_anchors=True)
+        empty = np.zeros(0)
+        return LossResult(0.0, grad, truncated, pos, empty, empty, empty, empty, pos, pos)
 
     restrict = config.pair_filter.mode is FilterMode.VALID_NEG_COUNT and config.pair_filter.filter_numerator
     lam = config.distance.lam
@@ -315,13 +351,7 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: GradientForm | None
         if want_grad:
             grad /= n_pos
 
-    anchors = pos.tolist()
-    bc_or_none = [b if b > 0 else None for b in bc.tolist()]
-    stats = [
-        RankStats(*row)
-        for row in zip(anchors, rank_plus.tolist(), rank_minus.tolist(), bc_or_none, n_neg.tolist(), active.tolist())
-    ]
-    return LossResult(float(total), dict(zip(anchors, loss.tolist())), grad, stats, truncated)
+    return LossResult(float(total), grad, truncated, pos, loss, rank_plus, rank_minus, bc, n_neg, active)
 
 
 def evaluate_loss(score_set: ScoreSet, config: LossConfig) -> LossResult:

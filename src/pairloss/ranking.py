@@ -194,15 +194,18 @@ def compute_ranks(score_set: ScoreSet, u, delta: float = 0.5):
     at = np.concatenate([blocks[0].searchsorted(edges), blocks[1].searchsorted(edges) + n_pos]).reshape(2, 2, -1)
     m = (4 * len(score_set) + 7).bit_length()  # 2**m >= 4 (n + 2)
     top = 2.0 ** (106 - m)
+    # the groupings some window uses; an anchor's window sums read only its own grouping's prefix sums
+    used = np.flatnonzero(np.bincount(grouping, minlength=2))
     # the top exponent of c's group: (c + 3) & -4 in one grouping, ((c + 1) & -4) + 2 in the other
-    grid = c[by_label] + _GROUP_SHIFT
+    grid = c[by_label] + _GROUP_SHIFT[used]
     grid &= -4
-    np.subtract((106 - 2 * m) - _GROUP_OFFSET, grid, out=grid)
+    np.subtract((106 - 2 * m) - _GROUP_OFFSET[used], grid, out=grid)
     entries = row[by_label]
     entries[0] = 0.0
     del labels, positives, by_label, blocks, row, c  # so that the set-sized arrays do not pile up
-    # the prefix sums of each level under both groupings, read at each window's edges under its grouping
-    flat = grouping * entries.size + at
+    # the prefix sums of each level under the groupings in use only, read at each window's edges in the row
+    # of its grouping
+    flat = used.searchsorted(grouping) * entries.size + at
     window = np.empty((3, 2, 2, s_u.size))
     for level, part in enumerate(_levels(np.ldexp(entries, grid), top)):
         np.take(np.cumsum(part, axis=1, out=part), flat, out=window[level])

@@ -29,6 +29,7 @@ from pairloss import (
     brute_force_loss,
     ce_distance,
     compute_ranks,
+    descend_scores,
     evaluate_loss,
     evaluate_with_gradient,
     generate_scores,
@@ -116,6 +117,57 @@ class TestForward:
                     assert result.per_anchor_loss[s.anchor_index] == 0.0
                 else:
                     assert s.balance_constant == float(s.n_neg)
+
+
+_COLUMNS = ("anchors", "losses", "rank_plus", "rank_minus", "balance_constants", "n_neg", "kept")
+
+
+class TestPerAnchorViews:
+    """stats and per_anchor_loss are built from the result's columns on first read only."""
+
+    SET = make_set(np.linspace(-1.0, 2.0, 40), np.arange(40) % 3 == 0)
+
+    def test_evaluation_builds_no_per_anchor_objects(self, monkeypatch):
+        built = []
+
+        def counting(*row):
+            built.append(row)
+            return ranking.RankStats(*row)
+
+        monkeypatch.setattr(loss, "RankStats", counting)
+        for config in (CE8, NEGCOUNT):
+            results = [fn(self.SET, config) for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce)]
+            descend_scores(self.SET, config, 5, 0.5)
+            assert built == []
+            assert all("stats" not in vars(r) and "per_anchor_loss" not in vars(r) for r in results)
+        assert len(results[0].stats) == len(built) == self.SET.positive_indices.size
+
+    @pytest.mark.parametrize("config", [CE8, NEGCOUNT])
+    def test_a_second_read_returns_the_same_object(self, config):
+        result = gradient_error_driven(self.SET, config)
+        assert result.stats is result.stats
+        assert result.per_anchor_loss is result.per_anchor_loss
+        assert list(result.per_anchor_loss) == [s.anchor_index for s in result.stats] == result.anchors.tolist()
+
+    @pytest.mark.parametrize("config", [CE8, NEGCOUNT, LossConfig(budget=PairBudget(3))])
+    def test_active_pairs_is_an_int_summing_the_stats(self, config):
+        result = evaluate_loss(self.SET, config)
+        assert type(result.active_pairs) is int
+        assert result.active_pairs == sum(s.active_pairs for s in result.stats) > 0
+
+    def test_a_set_without_positives_has_no_active_pairs(self):
+        result = gradient_error_driven(make_set([0.2, 0.9], [0, 0]), CE8)
+        assert type(result.active_pairs) is int
+        assert result.active_pairs == 0
+
+    @pytest.mark.parametrize("labels", [np.arange(40) % 3 == 0, np.zeros(40, dtype=np.int64)])
+    def test_the_columns_are_read_only(self, labels):
+        result = evaluate_loss(make_set(self.SET.scores, labels), NEGCOUNT)
+        for name in _COLUMNS:
+            column = getattr(result, name)
+            assert column.size == labels.sum()
+            with pytest.raises(ValueError, match="read-only"):
+                column[...] = 0
 
 
 class TestGradientSpotValues:

@@ -137,6 +137,28 @@ class TestComputeRanks:
         with pytest.raises(ValidationError, match=r"^delta must be > 0, got 0\.0$"):
             compute_ranks(ss, 0, 0.0)
 
+    @pytest.mark.parametrize("high, groupings", [(1.5, 2), (0.9, 1)])
+    def test_an_anchors_rank_ignores_the_other_anchors(self, monkeypatch, high, groupings):
+        # delta = 0.25: a window that reaches a score >= 1 takes its grid from one grouping of the exponents, a
+        # window below 1 from the other, and compute_ranks sums prefixes only under the groupings in use
+        rng = np.random.default_rng(41)
+        ss = make_set(rng.uniform(0.0, high, 300), rng.uniform(size=300) < 0.3)
+        pos = ss.positive_indices
+        rows = []
+        levels = ranking._levels
+        monkeypatch.setattr(ranking, "_levels", lambda x, top: rows.append(x.shape[0]) or levels(x, top))
+        together = compute_ranks(ss, pos, 0.25)
+        assert rows[0] == groupings
+        for i, u in enumerate(pos.tolist()):
+            alone = compute_ranks(ss, u, 0.25)
+            assert [r.hex() for r in alone] == [together[0][i].hex(), together[1][i].hex()]
+
+    def test_no_anchors_give_two_empty_arrays(self):
+        ss = make_set([0.6, 0.4], [1, 0])
+        ranks = compute_ranks(ss, np.array([], dtype=np.int64), 0.25)
+        assert len(ranks) == 2
+        assert all(r.dtype == np.float64 and r.shape == (0,) for r in ranks)
+
     def test_overflowing_differences_read_as_the_ramps_limits(self):
         # -1e308 - 1e308 overflows to -inf, which lies below the window and counts 0
         ss = make_set([1e308, -1e308], [1, 0])

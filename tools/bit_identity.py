@@ -15,8 +15,9 @@ rearranges the cross-entropy shows there. The generated sets include the
 500 / 9 500 shape of the benchmark's dense workload, whose blocks are
 6 x 9 500 when Q does not bind and 327 x 200 when Q = 200 does. The scores are drawn here with numpy,
 not by the trees under test. A result is equal when total_loss, the
-per-anchor losses, the gradient bytes and the stats all match bit for bit,
-or when both trees raise the same error type with the same message.
+per-anchor losses, the gradient bytes, the stats, and the active pair
+count and the name of its type all match bit for bit, or when both trees
+raise the same error type with the same message.
 
 After the corpus, each child runs a fixed matrix of command lines through
 `pairloss.cli.main(argv)` with stdout and stderr captured: every subcommand,
@@ -193,6 +194,8 @@ def _record(result) -> tuple:
         tuple(tuple(x.hex() if isinstance(x, float) else x for x in dataclasses.astuple(s)) for s in result.stats),
         result.truncated,
         result.no_anchors,
+        result.active_pairs,
+        type(result.active_pairs).__name__,
     )
 
 
@@ -232,7 +235,10 @@ def _run(src: Path, inputs: str) -> tuple[list, list]:
     return pickle.loads(out.stdout)
 
 
-_FIELDS = ("kind", "total_loss", "per_anchor_loss", "gradient", "stats", "truncated", "no_anchors")
+_FIELDS = (
+    "kind", "total_loss", "per_anchor_loss", "gradient", "stats", "truncated", "no_anchors", "active_pairs",
+    "active_pairs type",
+)
 
 
 def _summary(record: tuple) -> str:
