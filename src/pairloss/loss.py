@@ -46,6 +46,22 @@ block by block into one carried array over the selection, row after row, so
 each negative's terms add up in anchor order and results are bitwise
 independent of the block size.
 
+A call of PIPELINE_MIN_BLOCKS blocks or more runs its blocks in two stages.
+The calling thread computes each block's score differences and distance
+kernels; one reducing thread per process, started on first use, takes the
+rest, the row sums, the divide by the balance constants, the column fold and
+the writes into the loss, gradient and carried arrays, one step after
+another in the order a single thread would run them. So the fold still adds
+each negative's terms in anchor order on one thread, and every result keeps
+its bits whether or not a call is pipelined. The calling thread reduces the
+call's last block itself once the handed steps are done. An error keeps its
+place too: a handed step's error is raised once every handed step is done,
+and before any error of a later kernel. Each handed step runs in a copy of
+the caller's context, so a caller's np.errstate holds on the reducing
+thread. Fewer blocks than PIPELINE_MIN_BLOCKS are reduced on the calling
+thread between the kernels, as one loop would: waking an idle thread costs
+more than a few blocks' reductions save.
+
 A LossResult holds the per-anchor columns that the evaluation computes as
 read-only arrays; its per_anchor_loss dict and its RankStats list are built
 from them on first read and cached, so an evaluation, and each step of a
@@ -54,9 +70,14 @@ descent, builds no per-anchor Python object.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from math import frexp, fsum, ldexp
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -92,12 +113,14 @@ class LossResult:
     applied otherwise. truncated reports whether the pair budget actually cut
     the negative set. The per-anchor columns are read-only arrays, one entry
     per positive anchor in index order: anchors, their unreduced losses l(u),
-    rank+ and rank-, balance constants (0 for a skipped negcount anchor),
-    valid-negative counts and kept pair counts. per_anchor_loss, which maps
-    anchor index to l(u), and stats, one RankStats per anchor, are views of
-    those columns, built on first read and cached. no_anchors flags a set
-    without positive anchors (legal, loss 0). Results compare and hash by
-    identity, as ScoreSet does.
+    rank+ and rank-, balance constants (0 for a skipped negcount anchor) and
+    kept pair counts. n_neg, the valid-negative counts, is one more such
+    column, computed by count_valid on first read and cached, as only
+    negcount's balance constants need it during evaluation. per_anchor_loss,
+    which maps anchor index to l(u), and stats, one RankStats per anchor, are
+    views of those columns, built on first read and cached. no_anchors flags
+    a set without positive anchors (legal, loss 0). Results compare and hash
+    by identity, as ScoreSet does.
     """
 
     total_loss: float
@@ -108,12 +131,11 @@ class LossResult:
     rank_plus: np.ndarray
     rank_minus: np.ndarray
     balance_constants: np.ndarray
-    n_neg: np.ndarray
     kept: np.ndarray
+    count_valid: Callable[[], np.ndarray]
 
     def __post_init__(self) -> None:
-        columns = self.anchors, self.losses, self.rank_plus, self.rank_minus, self.balance_constants, self.n_neg, self.kept
-        for column in columns:
+        for column in self.anchors, self.losses, self.rank_plus, self.rank_minus, self.balance_constants, self.kept:
             column.flags.writeable = False
 
     @property
@@ -123,6 +145,12 @@ class LossResult:
     @property
     def active_pairs(self) -> int:
         return int(self.kept.sum())
+
+    @cached_property
+    def n_neg(self) -> np.ndarray:
+        counts = self.count_valid()
+        counts.flags.writeable = False
+        return counts
 
     @cached_property
     def per_anchor_loss(self) -> dict[int, float]:
@@ -137,6 +165,7 @@ class LossResult:
 
 
 BLOCK_DOUBLES = 1 << 16  # most doubles one block of anchor rows holds, so memory stays bounded
+PIPELINE_MIN_BLOCKS = 8  # fewest row blocks in a call that hand their reductions to the reducing thread
 
 
 def row_blocks(n_rows: int, width: int) -> list[slice]:
@@ -255,6 +284,86 @@ def _fold_rows(carry: np.ndarray, block: np.ndarray) -> None:
         np.add.reduce(block, axis=0, out=carry[:width])
 
 
+def _reduce_losses(loss: np.ndarray, at: np.ndarray, anchors: np.ndarray, b: np.ndarray, values: np.ndarray) -> None:
+    """Reduce one block's distance values into its anchors' losses."""
+    loss[at] = _row_sums(values, anchors) / b
+
+
+def _reduce_pulls(grad: np.ndarray, carry: np.ndarray, anchors: np.ndarray, b: np.ndarray, pull: np.ndarray) -> None:
+    """Reduce one block's pulls into its anchors' gradients, and fold them into the negatives' carry."""
+    # anchors add onto 0.0, so an anchor without pair mass reads +0.0, never -0.0
+    grad[anchors] += -_row_sums(pull, anchors) / b
+    np.divide(pull, b[:, None], out=pull)
+    _fold_rows(carry, pull)
+
+
+_reducers: dict[int, SimpleQueue] = {}  # the task queue of each process's reducing thread, by process id
+
+
+def _reducing_thread() -> SimpleQueue:
+    """The task queue of this process's reducing thread, started on first use.
+
+    Queues are keyed by process id: a child forked after the thread started
+    has no such thread, and starts its own. Two first calls at once may each
+    start one; each call still hands its steps to a queue that a thread serves.
+    """
+    tasks = _reducers.get(os.getpid())
+    if tasks is None:
+        tasks = _reducers[os.getpid()] = SimpleQueue()
+        threading.Thread(target=_reduce_forever, args=(tasks,), name="pairloss-reducer", daemon=True).start()
+    return tasks
+
+
+def _reduce_forever(tasks: SimpleQueue) -> None:
+    while True:
+        _reduce_one(*tasks.get())
+
+
+def _reduce_one(context: contextvars.Context, step: Callable[[], None], done: SimpleQueue) -> None:
+    # run in a function of its own, so no buffer of a finished step stays referenced while the thread waits
+    try:
+        context.run(step)
+    except BaseException as error:
+        done.put(error)
+    else:
+        done.put(None)
+
+
+class _Reduction:
+    """The reducing stage of one evaluation: its steps run in the order they are given.
+
+    A handed step goes to the reducing thread, in a copy of the caller's
+    context, and at most `most` handed steps wait unfinished, each holding
+    one block-sized buffer; a step run here first waits for every handed
+    one. Without handing, every step runs here at once.
+    """
+
+    def __init__(self, handing: bool, most: int) -> None:
+        self._tasks = _reducing_thread() if handing else None
+        self._done: SimpleQueue = SimpleQueue()
+        self._in_flight = 0
+        self._most = most
+
+    def run(self, step: Callable[[], None], here: bool) -> None:
+        if self._tasks is None or here:
+            self.wait(0)
+            step()
+        else:
+            self._tasks.put((contextvars.copy_context(), step, self._done))
+            self._in_flight += 1
+            self.wait(self._most)
+
+    def wait(self, most: int) -> None:
+        """Wait until at most `most` handed steps are unfinished, or all are once one failed; raise the first error."""
+        error = None
+        while self._in_flight > most or (error is not None and self._in_flight):
+            failed = self._done.get()
+            self._in_flight -= 1
+            error = error or failed
+        if error is not None:
+            raise error
+
+
 def _evaluate(score_set: ScoreSet, config: LossConfig, form: GradientForm | None) -> LossResult:
     """The loss under config, plus the gradient by `form` unless form is None."""
     instance("score_set", score_set, ScoreSet)
@@ -271,19 +380,22 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: GradientForm | None
     sel = select_top_q_negatives(score_set, config.budget)
     truncated = sel.size < score_set.negatives_by_score.size
 
+    # ranksum reads no valid-negative count, so its result counts them on the first read of n_neg
+    count_valid = partial(valid_negative_count, score_set, pos, config.pair_filter.threshold)
     if pos.size == 0:
         grad = np.zeros(n) if want_grad else None
         empty = np.zeros(0)
-        return LossResult(0.0, grad, truncated, pos, empty, empty, empty, empty, pos, pos)
+        return LossResult(0.0, grad, truncated, pos, empty, empty, empty, empty, pos, count_valid)
 
     restrict = config.pair_filter.mode is FilterMode.VALID_NEG_COUNT and config.pair_filter.filter_numerator
     lam = config.distance.lam
 
-    n_neg = valid_negative_count(score_set, pos, config.pair_filter.threshold)
     if config.pair_filter.mode is FilterMode.RANK_SUM:
         rank_plus, rank_minus = compute_ranks(score_set, pos, config.distance.delta)
         bc = rank_plus + rank_minus
     else:
+        n_neg = count_valid()
+        count_valid = partial(np.asarray, n_neg)
         rank_plus, rank_minus = np.ones(pos.size), n_neg.astype(np.float64)
         bc = rank_minus
     # ranksum constants are >= 1; a zero negcount constant skips its anchor
@@ -311,33 +423,37 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: GradientForm | None
     loss = np.zeros(pos.size)
     grad = np.zeros(n) if want_grad else None
     carry = np.zeros(width)  # negative-side gradient by position in the selection
-    for rows in row_blocks(live.size, width):
-        at = live[rows]
-        anchors, b, kept = pos[at], bc[at], active[at]
-        w = int(kept.max())
-        # the slots past each row's kept prefix; their kernel outputs are zeroed, as no finite difference
-        # written there would give exactly zero at every lam
-        tail = np.arange(w) >= kept[:, None] if kept.min() < w else None
-        pair_diffs = sel_scores[:w] - scores[anchors, None]
-        values = ce_distance(pair_diffs, lam) if want_grad else distance_value(pair_diffs, config.distance)
-        if tail is not None:
-            values[tail] = 0.0
-        loss[at] = _row_sums(values, anchors) / b
-        if not want_grad:
-            continue
-        # each pair pulls its anchor down and its negative up by one amount: its sigmoid error mass, or
-        # its negated cross-entropy slope -d CE / d u
-        if form is GradientForm.ERROR_DRIVEN:
-            pull = sigmoid_distance(pair_diffs, lam)
-        else:
-            pull = ce_distance_grad_wrt_u(pair_diffs, lam)
-            np.negative(pull, out=pull)
-        if tail is not None:
-            pull[tail] = 0.0
-        # anchors add onto 0.0, so an anchor without pair mass reads +0.0, never -0.0
-        grad[anchors] += -_row_sums(pull, anchors) / b
-        np.divide(pull, b[:, None], out=pull)
-        _fold_rows(carry, pull)
+    blocks = row_blocks(live.size, width)
+    reduction = _Reduction(len(blocks) >= PIPELINE_MIN_BLOCKS, 4 if want_grad else 2)
+    try:
+        for number, rows in enumerate(blocks, 1):
+            here = number == len(blocks)
+            at = live[rows]
+            anchors, b, kept = pos[at], bc[at], active[at]
+            w = int(kept.max())
+            # the slots past each row's kept prefix; their kernel outputs are zeroed, as no finite difference
+            # written there would give exactly zero at every lam
+            tail = np.arange(w) >= kept[:, None] if kept.min() < w else None
+            pair_diffs = sel_scores[:w] - scores[anchors, None]
+            values = ce_distance(pair_diffs, lam) if want_grad else distance_value(pair_diffs, config.distance)
+            if tail is not None:
+                values[tail] = 0.0
+            reduction.run(partial(_reduce_losses, loss, at, anchors, b, values), here)
+            if not want_grad:
+                continue
+            # each pair pulls its anchor down and its negative up by one amount: its sigmoid error mass, or
+            # its negated cross-entropy slope -d CE / d u
+            if form is GradientForm.ERROR_DRIVEN:
+                pull = sigmoid_distance(pair_diffs, lam)
+            else:
+                pull = ce_distance_grad_wrt_u(pair_diffs, lam)
+                np.negative(pull, out=pull)
+            if tail is not None:
+                pull[tail] = 0.0
+            reduction.run(partial(_reduce_pulls, grad, carry, anchors, b, pull), here)
+    except BaseException:
+        reduction.wait(0)  # a handed step's error comes first, as it would in one loop
+        raise
     if want_grad:
         grad[sel[:width]] = carry
 
@@ -351,7 +467,7 @@ def _evaluate(score_set: ScoreSet, config: LossConfig, form: GradientForm | None
         if want_grad:
             grad /= n_pos
 
-    return LossResult(float(total), grad, truncated, pos, loss, rank_plus, rank_minus, bc, n_neg, active)
+    return LossResult(float(total), grad, truncated, pos, loss, rank_plus, rank_minus, bc, active, count_valid)
 
 
 def evaluate_loss(score_set: ScoreSet, config: LossConfig) -> LossResult:

@@ -831,6 +831,15 @@ def test_import_loads_no_dependency_but_numpy():
     assert run.stdout == "['numpy', 'pairloss']\n"
 
 
+def test_import_loads_neither_a_thread_pool_nor_logging():
+    # every CLI run pays for its imports: the loss core's reducing thread needs only threading and queue,
+    # while concurrent.futures would also bring in logging
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    code = "import sys, pairloss.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout == "[]\n"
+
+
 WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError

@@ -2,8 +2,12 @@
 
 import importlib.util
 import math
+import os
 import re
+import signal
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -24,6 +28,7 @@ from pairloss import (
     Label,
     LossConfig,
     PairBudget,
+    Reduction,
     ScoreSet,
     ValidationError,
     brute_force_loss,
@@ -168,6 +173,38 @@ class TestPerAnchorViews:
             assert column.size == labels.sum()
             with pytest.raises(ValueError, match="read-only"):
                 column[...] = 0
+
+    @staticmethod
+    def _count_calls(monkeypatch) -> list:
+        calls = []
+        count = ranking.valid_negative_count
+
+        def counting(*args):
+            calls.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(loss, "valid_negative_count", counting)
+        return calls
+
+    def test_ranksum_counts_valid_negatives_on_first_read(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        by_n_neg, by_stats, autodiff = (fn(self.SET, CE8) for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce))
+        descend_scores(self.SET, CE8, 5, 0.5)
+        assert calls == []
+        eager = ranking.valid_negative_count(self.SET, self.SET.positive_indices, CE8.pair_filter.threshold)
+        assert by_n_neg.n_neg.tolist() == eager.tolist() and len(calls) == 1
+        assert by_n_neg.n_neg is by_n_neg.n_neg and len(calls) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            by_n_neg.n_neg[0] = 0
+        assert [s.n_neg for s in by_stats.stats] == eager.tolist() and len(calls) == 2
+        assert autodiff.n_neg.tolist() == eager.tolist() and len(calls) == 3
+
+    def test_negcount_counts_valid_negatives_once_per_evaluation(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        results = [fn(self.SET, NEGCOUNT) for fn in (evaluate_loss, gradient_error_driven, gradient_autodiff_ce)]
+        assert len(calls) == 3
+        assert all(r.n_neg.tolist() == r.balance_constants.astype(int).tolist() for r in results)
+        assert len(calls) == 3
 
 
 class TestGradientSpotValues:
@@ -805,6 +842,188 @@ class TestOverflow:
                         assert re.fullmatch(r"pair sum of anchor \d+ overflows|total loss overflows", str(exc)), str(exc)
                 else:
                     assert anchor is None
+
+
+def _outcome(fn, score_set, config):
+    try:
+        return _bits(fn(score_set, config))
+    except Exception as exc:  # an error is an outcome: its type and message
+        return type(exc).__name__, str(exc)
+
+
+def _reducing_threads(monkeypatch) -> list[str]:
+    """Patch both reduction steps of loss._evaluate to record the name of the thread that runs each one."""
+    names = []
+    for name in ("_reduce_losses", "_reduce_pulls"):
+
+        def spy(*args, step=getattr(loss, name)):
+            names.append(threading.current_thread().name)
+            step(*args)
+
+        monkeypatch.setattr(loss, name, spy)
+    return names
+
+
+_FORMS = (evaluate_loss, gradient_error_driven, gradient_autodiff_ce)
+_ALL_BLOCKS_PIPELINED, _NONE_PIPELINED = 1, sys.maxsize
+
+
+class TestPipeline:
+    """Calls of PIPELINE_MIN_BLOCKS blocks or more reduce on the reducing thread, with the same bits and errors."""
+
+    CONFIGS = (
+        (CE8, _FORMS),
+        (LossConfig(budget=PairBudget(3)), _FORMS),
+        (NEGCOUNT, _FORMS),  # restricted rows: a ragged tail in most blocks
+        (LossConfig(reduction=Reduction.SUM), _FORMS),
+        (LossConfig(pair_filter=NEGCOUNT.pair_filter, reduction=Reduction.SUM), _FORMS),
+        (SIGMOID8, (evaluate_loss, gradient_error_driven)),
+        (LossConfig(distance=DistanceSpec(kind=DistanceKind.STEP, delta=0.5)), (evaluate_loss,)),
+    )
+
+    def test_results_match_one_loop_bit_for_bit(self, monkeypatch):
+        ss = random_score_set(np.random.default_rng(39), 260, p_pos=0.5)
+        monkeypatch.setattr(loss, "BLOCK_DOUBLES", 24)
+        blocks = []
+        row_blocks = loss.row_blocks
+        monkeypatch.setattr(loss, "row_blocks", lambda n, w: blocks.append(len(row_blocks(n, w))) or row_blocks(n, w))
+        names = _reducing_threads(monkeypatch)
+        got = {}
+        for gate in (_ALL_BLOCKS_PIPELINED, _NONE_PIPELINED):
+            monkeypatch.setattr(loss, "PIPELINE_MIN_BLOCKS", gate)
+            got[gate] = [_bits(fn(ss, config)) for config, forms in self.CONFIGS for fn in forms]
+            assert min(blocks) >= 8
+            if gate == _ALL_BLOCKS_PIPELINED:
+                assert "pairloss-reducer" in names
+            else:
+                assert set(names) == {threading.current_thread().name}
+            names.clear()
+        assert got[_ALL_BLOCKS_PIPELINED] == got[_NONE_PIPELINED]
+
+    @pytest.mark.parametrize(
+        ("scores", "later"),
+        [
+            # lam = 1e-308: CE(0) = log(2) / lam = 6.9e307, so anchors at 0 sum past the largest double over the three
+            # negatives at 0; CE(-1.7e308) is 1.7e307, and CE(1.7e308) overflows in the kernel
+            ([0.0, -1.7e308, 1.7e308, 1.7e308], "a kernel"),
+            ([0.0, 1.7e308, 0.0, 1.7e308], "a pair sum"),
+        ],
+    )
+    def test_a_handed_blocks_error_comes_before_a_later_blocks(self, monkeypatch, scores, later):
+        ss = make_set(scores + [0.0] * 3, [1] * 4 + [0] * 3)
+        config = LossConfig(distance=DistanceSpec(lam=1e-308))
+        monkeypatch.setattr(loss, "BLOCK_DOUBLES", 3)  # one anchor per block
+        names = _reducing_threads(monkeypatch)
+        for gate in (_NONE_PIPELINED, _ALL_BLOCKS_PIPELINED):
+            monkeypatch.setattr(loss, "PIPELINE_MIN_BLOCKS", gate)
+            for fn in _FORMS:
+                with pytest.raises(ValidationError, match="^pair sum of anchor 0 overflows$"):
+                    fn(ss, config)
+        assert "pairloss-reducer" in names
+        with pytest.raises(ValidationError, match="overflows"):  # the later block fails on its own, too
+            _FORMS[0](make_set(scores[1:] + [0.0] * 3, [1] * 3 + [0] * 3), config)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.lists(st.tuples(_EXTREME_SCORES, st.sampled_from([1, 0, 0, -1])), min_size=1, max_size=12),
+        mode=st.sampled_from([FilterMode.RANK_SUM, FilterMode.VALID_NEG_COUNT]),
+        filter_numerator=st.booleans(),
+        q=st.sampled_from([None, 1, 3]),
+        lam=st.sampled_from([8.0, 1e-308]),
+    )
+    def test_extreme_sets_give_the_outcomes_of_one_loop(self, points, mode, filter_numerator, q, lam):
+        scores, labels = map(list, zip(*points))
+        ss = make_set(scores, labels)
+        pair_filter = FilterSpec(mode=mode, filter_numerator=filter_numerator)
+        config = LossConfig(distance=DistanceSpec(lam=lam), pair_filter=pair_filter, budget=PairBudget(q))
+        outcomes = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(loss, "BLOCK_DOUBLES", 8)
+            for gate in (_ALL_BLOCKS_PIPELINED, _NONE_PIPELINED):
+                patch.setattr(loss, "PIPELINE_MIN_BLOCKS", gate)
+                outcomes.append([_outcome(fn, ss, config) for fn in _FORMS])
+        assert outcomes[0] == outcomes[1]
+
+    def test_a_callers_errstate_holds_on_the_reducing_thread(self, monkeypatch):
+        # lam = 1: the kernels of anchors 0 and 1 give exp(-708.2) = 2.7e-308, still normal, but their balance
+        # constant is 1.5 (they tie), so their losses go subnormal and inexact, which np.errstate(under="raise")
+        # refuses; the other anchors' values are log(2). Anchors 0 and 1 are handed blocks, and only they underflow
+        ss = make_set([708.2] * 2 + [0.0] * 10 + [0.0], [1] * 12 + [0])
+        config = LossConfig(distance=DistanceSpec(lam=1.0))
+        monkeypatch.setattr(loss, "BLOCK_DOUBLES", 1)
+        names = _reducing_threads(monkeypatch)
+        raised = {}
+        for gate in (_NONE_PIPELINED, _ALL_BLOCKS_PIPELINED):
+            monkeypatch.setattr(loss, "PIPELINE_MIN_BLOCKS", gate)
+            for fn in _FORMS:
+                assert fn(ss, config).losses[0] < np.finfo(float).tiny
+                with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow") as info:
+                    fn(ss, config)
+                raised.setdefault(fn, []).append(str(info.value))
+        assert "pairloss-reducer" in names
+        assert all(first == second for first, second in raised.values())
+
+    def test_calls_below_the_gate_start_no_thread(self, monkeypatch):
+        def refuse():
+            raise AssertionError("a call below the gate asked for the reducing thread")
+
+        monkeypatch.setattr(loss, "_reducing_thread", refuse)
+        threads = threading.active_count()
+        assert len(loss.row_blocks(50, 500)) == 1 < loss.PIPELINE_MIN_BLOCKS
+        for fn in _FORMS:
+            fn(equal_pair(), CE8)
+        simulate_training(GeneratorSpec(), LossConfig(), 100, 1.0)
+        assert threading.active_count() == threads
+
+    def test_concurrent_callers_share_the_reducing_thread(self, monkeypatch):
+        # more callers than cores, switching threads every 10 us: each call's steps still run in its own order
+        monkeypatch.setattr(loss, "PIPELINE_MIN_BLOCKS", _ALL_BLOCKS_PIPELINED)
+        monkeypatch.setattr(loss, "BLOCK_DOUBLES", 400)
+        sets = [generate_scores(GeneratorSpec(seed=seed, n_pos=40, n_neg=100)) for seed in range(4)]
+        expect = [_bits(gradient_error_driven(ss, CE8)) for ss in sets]
+        got = [[] for _ in sets]
+
+        def evaluate(i):
+            for _ in range(5):
+                got[i].append(_bits(gradient_error_driven(sets[i], CE8)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=evaluate, args=(i,)) for i in range(len(sets))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [[e] * 5 for e in expect]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_reducing_thread(self, monkeypatch):
+        monkeypatch.setattr(loss, "PIPELINE_MIN_BLOCKS", _ALL_BLOCKS_PIPELINED)
+        monkeypatch.setattr(loss, "BLOCK_DOUBLES", 400)
+        ss = generate_scores(GeneratorSpec(seed=38, n_pos=40, n_neg=100))
+        expect = _bits(gradient_error_driven(ss, CE8))
+        assert os.getpid() in loss._reducers  # the parent's reducing thread runs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # Python 3.12+ warns on forking a process with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if _bits(gradient_error_driven(ss, CE8)) == expect else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if waited[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's evaluation did not finish in 60 s")
+        assert os.waitstatus_to_exitcode(waited[1]) == 0
 
 
 class TestMemory:

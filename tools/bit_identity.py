@@ -13,7 +13,10 @@ the forward loss and both gradient forms. lambda = 3 is the one value that
 is not a power of two, where scaling by lambda rounds, so a change that
 rearranges the cross-entropy shows there. The generated sets include the
 500 / 9 500 shape of the benchmark's dense workload, whose blocks are
-6 x 9 500 when Q does not bind and 327 x 200 when Q = 200 does. The scores are drawn here with numpy,
+6 x 9 500 when Q does not bind and 327 x 200 when Q = 200 does, so its
+unbounded calls hand their reductions to the reducing thread, and a set of
+ten blocks in which an early and a later block both fail, which compares
+which error a pipelined call raises. The scores are drawn here with numpy,
 not by the trees under test. A result is equal when total_loss, the
 per-anchor losses, the gradient bytes, the stats, and the active pair
 count and the name of its type all match bit for bit, or when both trees
@@ -92,7 +95,26 @@ def score_sets() -> list[tuple[str, np.ndarray, np.ndarray]]:
         ("overflow outside the kept pairs", np.array([9e307, 8.9e307, 8.95e307, 9.1e307, -1e308]), np.array([1, 1, 0, 0, 0])),
         ("overflow past a prefix", np.array([1.7e308, -2e307, 1.75e308, -1e307]), np.array([1, 1, 0, 0])),
         ("generated 500/9500, the dense benchmark shape", *generated(500, 9500, 0.6, 0.4, 0.1)),
+        ("overflow in an early and a later block", *early_and_late_overflows()),
     ]
+
+
+def early_and_late_overflows() -> tuple[np.ndarray, np.ndarray]:
+    """60 anchors against 10 000 negatives: six anchors per block, ten blocks, when Q does not bind.
+
+    Anchors 0 and 40 sit 1e305 below the negatives, so their pair sums
+    overflow at lambda = 8, in blocks 0 and 6; at lambda = 1e-307 every pair
+    sum overflows. Anchor 8 lies exactly the largest double below the top
+    negative, a difference whose cross-entropy overflows in the kernel at
+    lambda = 1e-307: in block 1, while block 0's reductions may still be
+    running on the reducing thread.
+    """
+    rng = np.random.Generator(np.random.PCG64(20242))
+    top = np.finfo(float).max / 2
+    scores = np.concatenate([rng.normal(0.5, 0.2, 60), rng.normal(0.5, 0.2, 9_999), [top]])
+    scores[[0, 40]] = -1e305
+    scores[8] = -top
+    return scores, np.array([1] * 60 + [0] * 10_000)
 
 
 # the CLI matrix: run name -> argv, with {dir} the input directory; a run that names --out also reports its bytes

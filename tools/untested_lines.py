@@ -5,15 +5,18 @@ Usage:
     PYTHONPATH=src:tools python -m pytest -p untested_lines
 
 Tracing starts when pytest loads the plugin, before any test module imports
-pairloss, so module-level statements count. Docstrings, def and class lines
-and imports are not listed. Code run in a child process, as by the CLI tests
-that start `python -m pairloss.cli`, is not seen.
+pairloss, so module-level statements count, and it follows every thread
+started after that, such as the reducing thread of `pairloss.loss`.
+Docstrings, def and class lines and imports are not listed. Code run in a
+child process, as by the CLI tests that start `python -m pairloss.cli`, is
+not seen.
 """
 
 from __future__ import annotations
 
 import ast
 import sys
+import threading
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pairloss"
@@ -47,6 +50,7 @@ def _untested(path: Path) -> list[tuple[int, str]]:
 
 def pytest_terminal_summary(terminalreporter):
     sys.settrace(None)
+    threading.settrace(None)
     untested = [(path, *entry) for path in sorted(PACKAGE.glob("*.py")) for entry in _untested(path)]
     terminalreporter.section(f"{len(untested)} statements of src/pairloss never executed")
     for path, line, text in untested:
@@ -54,3 +58,4 @@ def pytest_terminal_summary(terminalreporter):
 
 
 sys.settrace(_call)
+threading.settrace(_call)
